@@ -18,6 +18,7 @@
 #include "core/Pipeline.h"
 #include "driver/ResultCache.h"
 #include "ir/Parser.h"
+#include "workloads/MiBench.h"
 #include "workloads/ProgramGen.h"
 
 #include <algorithm>
@@ -96,7 +97,45 @@ std::vector<std::pair<std::string, Function>> buildCorpus() {
     P.TopStatements = 9;
     Corpus.emplace_back("genmove", generateProgram("genmove", P));
   }
+  // Coalesce-heavy programs: hundreds of coalesce probes per compile.
+  // MiBench-profile draws in the batch benchmark's shape (350-450
+  // instructions, loops nested at most two deep, fixed trip counts).
+  for (const auto &[Profile, Seed] :
+       {std::pair<const char *, uint64_t>{"jpeg", 26},
+        std::pair<const char *, uint64_t>{"basicmath", 46}}) {
+    ProgramProfile P = miBenchProfile(Profile);
+    P.Seed = Seed;
+    P.TopStatements = 4;
+    P.MaxLoopDepth = std::min(P.MaxLoopDepth, 2u);
+    P.TripMin = P.TripMax = 5;
+    P.OuterTrip = 4;
+    std::string Name = std::string("mib_") + Profile;
+    Corpus.emplace_back(Name, generateProgram(Name, P));
+  }
+  {
+    // High-pressure, move-heavy profile: the Coalesce scheme's probes hit
+    // uncolorable merges and its final coloring fails once, so the
+    // spill-and-restart round runs too.
+    ProgramProfile P;
+    P.Seed = 17;
+    P.PressureVars = 12;
+    P.HotPct = 60;
+    P.HotWidth = 12;
+    P.MovePct = 60;
+    P.ExprWidth = 4;
+    P.TopStatements = 8;
+    Corpus.emplace_back("genhotmove", generateProgram("genhotmove", P));
+  }
   return Corpus;
+}
+
+const Function &corpusFunction(
+    const std::vector<std::pair<std::string, Function>> &Corpus,
+    const std::string &Name) {
+  auto It = std::find_if(Corpus.begin(), Corpus.end(),
+                         [&](const auto &Entry) { return Entry.first == Name; });
+  EXPECT_NE(It, Corpus.end()) << "no corpus function " << Name;
+  return It->second;
 }
 
 const Scheme AllSchemes[] = {Scheme::Baseline, Scheme::OSpill, Scheme::Remap,
@@ -190,6 +229,24 @@ TEST(AllocIdentity, GoldenCorpusAllSchemes) {
         << Key << ": stage counters / cost gauges diverged from the "
         << "pre-rework allocator";
   }
+}
+
+/// The coalesce-heavy corpus entries keep the shapes they were chosen
+/// for, so the golden lines keep pinning the coalesce probe loop: sizes
+/// inside the batch benchmark's band, and a Coalesce run that rejects
+/// uncolorable probes and restarts after a failed final coloring.
+TEST(AllocIdentity, CoalesceHeavyCorpusShapes) {
+  auto Corpus = buildCorpus();
+  for (const char *Name : {"mib_jpeg", "mib_basicmath"}) {
+    size_t N = corpusFunction(Corpus, Name).numInsts();
+    EXPECT_GE(N, 350u) << Name;
+    EXPECT_LE(N, 450u) << Name;
+  }
+  PipelineConfig C;
+  C.S = Scheme::Coalesce;
+  PipelineResult R = runPipeline(corpusFunction(Corpus, "genhotmove"), C);
+  EXPECT_GT(R.Coalesce.SpillRestarts, 0u);
+  EXPECT_GT(R.Coalesce.ProbesUncolorable, 0u);
 }
 
 /// The serialized stream itself must be stable run to run within one
