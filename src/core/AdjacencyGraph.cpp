@@ -6,35 +6,55 @@
 
 using namespace dra;
 
-AdjacencyGraph::HalfEdge *AdjacencyGraph::findLive(std::vector<HalfEdge> &List,
-                                                   RegId Node) {
-  for (HalfEdge &E : List)
-    if (E.Live && E.Node == Node)
-      return &E;
-  return nullptr;
-}
-
-void AdjacencyGraph::killHalf(std::vector<HalfEdge> &List, RegId Node) {
-  for (HalfEdge &E : List)
-    if (E.Live && E.Node == Node) {
-      E.Live = false;
+void AdjacencyGraph::killHalf(bool OutSide, RegId Row, RegId Node,
+                              MergeUndo *Undo) {
+  std::vector<HalfEdge> &List = row(OutSide, Row);
+  for (size_t I = 0, E = List.size(); I != E; ++I)
+    if (List[I].Live && List[I].Node == Node) {
+      List[I].Live = false;
+      if (Undo)
+        Undo->Changes.push_back({MergeUndo::Kind::Kill, OutSide, Row,
+                                 static_cast<uint32_t>(I), 0.0});
       return;
     }
 }
 
 void AdjacencyGraph::addWeight(RegId From, RegId To, double W) {
+  addWeight(From, To, W, nullptr);
+}
+
+void AdjacencyGraph::addWeight(RegId From, RegId To, double W,
+                               MergeUndo *Undo) {
   if (From == To || W == 0)
     return;
   assert(From < NumNodes && To < NumNodes && "node out of range");
-  if (HalfEdge *OutE = findLive(Out[From], To)) {
-    OutE->W += W;
-    HalfEdge *InE = findLive(In[To], From);
-    assert(InE && "out/in half-edge lists out of sync");
-    InE->W = OutE->W;
+  auto FindLive = [](const std::vector<HalfEdge> &List, RegId Node) {
+    for (size_t I = 0, E = List.size(); I != E; ++I)
+      if (List[I].Live && List[I].Node == Node)
+        return I;
+    return List.size();
+  };
+  size_t OutI = FindLive(Out[From], To);
+  if (OutI != Out[From].size()) {
+    size_t InI = FindLive(In[To], From);
+    assert(InI != In[To].size() && "out/in half-edge lists out of sync");
+    HalfEdge &OutE = Out[From][OutI];
+    if (Undo) {
+      Undo->Changes.push_back({MergeUndo::Kind::SetWeight, true, From,
+                               static_cast<uint32_t>(OutI), OutE.W});
+      Undo->Changes.push_back({MergeUndo::Kind::SetWeight, false, To,
+                               static_cast<uint32_t>(InI), In[To][InI].W});
+    }
+    OutE.W += W;
+    In[To][InI].W = OutE.W;
     return;
   }
   Out[From].push_back({To, true, W});
   In[To].push_back({From, true, W});
+  if (Undo) {
+    Undo->Changes.push_back({MergeUndo::Kind::Push, true, From, 0, 0.0});
+    Undo->Changes.push_back({MergeUndo::Kind::Push, false, To, 0, 0.0});
+  }
 }
 
 double AdjacencyGraph::weight(RegId From, RegId To) const {
@@ -81,8 +101,14 @@ double AdjacencyGraph::identityCost(const EncodingConfig &C) const {
   return cost(Identity, C);
 }
 
-void AdjacencyGraph::mergeInto(RegId From, RegId To) {
+void AdjacencyGraph::mergeInto(RegId From, RegId To, MergeUndo *Undo) {
   assert(From != To && From < NumNodes && To < NumNodes && "bad merge");
+  if (Undo) {
+    Undo->From = From;
+    Undo->OutFrom = Out[From];
+    Undo->InFrom = In[From];
+    Undo->Changes.clear();
+  }
   // Index-based walks: addWeight may grow other nodes' lists, but never
   // From's (self edges are excluded), so Out[From]/In[From] are stable.
   for (size_t I = 0, E = Out[From].size(); I != E; ++I) {
@@ -92,9 +118,9 @@ void AdjacencyGraph::mergeInto(RegId From, RegId To) {
     RegId X = Half.Node;
     double W = Half.W;
     Half.Live = false;
-    killHalf(In[X], From);
+    killHalf(false, X, From, Undo);
     if (X != To)
-      addWeight(To, X, W);
+      addWeight(To, X, W, Undo);
   }
   for (size_t I = 0, E = In[From].size(); I != E; ++I) {
     HalfEdge &Half = In[From][I];
@@ -103,12 +129,34 @@ void AdjacencyGraph::mergeInto(RegId From, RegId To) {
     RegId X = Half.Node;
     double W = Half.W;
     Half.Live = false;
-    killHalf(Out[X], From);
+    killHalf(true, X, From, Undo);
     if (X != To)
-      addWeight(X, To, W);
+      addWeight(X, To, W, Undo);
   }
   Out[From].clear();
   In[From].clear();
+}
+
+void AdjacencyGraph::undoMerge(MergeUndo &Undo) {
+  for (size_t I = Undo.Changes.size(); I != 0; --I) {
+    const MergeUndo::Change &Ch = Undo.Changes[I - 1];
+    std::vector<HalfEdge> &List = row(Ch.OutSide, Ch.Row);
+    switch (Ch.K) {
+    case MergeUndo::Kind::Kill:
+      List[Ch.Index].Live = true;
+      break;
+    case MergeUndo::Kind::SetWeight:
+      List[Ch.Index].W = Ch.OldW;
+      break;
+    case MergeUndo::Kind::Push:
+      List.pop_back();
+      break;
+    }
+  }
+  // From's rows were cleared wholesale; swapping the saved copies back
+  // keeps both buffers' capacity for the next merge.
+  Out[Undo.From].swap(Undo.OutFrom);
+  In[Undo.From].swap(Undo.InFrom);
 }
 
 AdjacencyGraph AdjacencyGraph::build(const Function &F,

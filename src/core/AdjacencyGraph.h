@@ -102,10 +102,6 @@ public:
   /// meaningful for post-allocation graphs where nodes are registers.
   double identityCost(const EncodingConfig &C) const;
 
-  /// Merges node \p From into node \p To: From's in/out edges are re-aimed
-  /// at To (dropping resulting self edges). Used by differential coalesce.
-  void mergeInto(RegId From, RegId To);
-
 private:
   /// One direction of an edge; the weight is duplicated on the out- and
   /// in-side so both iteration directions are a single linear walk.
@@ -113,14 +109,51 @@ private:
     RegId Node;  // other endpoint
     bool Live;   // false once mergeInto removed the edge
     double W;
+
+    bool operator==(const HalfEdge &) const = default;
   };
 
+public:
+  /// What one mergeInto changed, so undoMerge can restore the graph
+  /// exactly (tombstones, insertion order and weights included) in time
+  /// proportional to the merged node's degree. Reusable across merges.
+  class MergeUndo {
+    friend class AdjacencyGraph;
+    enum class Kind : uint8_t { Kill, SetWeight, Push };
+    struct Change {
+      Kind K;
+      bool OutSide; // the row is Out[Row], else In[Row]
+      RegId Row;
+      uint32_t Index;
+      double OldW;
+    };
+    RegId From = NoReg;
+    std::vector<HalfEdge> OutFrom, InFrom; // From's rows before the merge
+    std::vector<Change> Changes;           // in the order they were made
+  };
+
+  /// Merges node \p From into node \p To: From's in/out edges are re-aimed
+  /// at To (dropping resulting self edges). Used by differential coalesce.
+  /// With \p Undo, records the changes for undoMerge.
+  void mergeInto(RegId From, RegId To, MergeUndo *Undo = nullptr);
+
+  /// Reverts the mergeInto that filled \p Undo; no other change to the
+  /// graph may come between the two.
+  void undoMerge(MergeUndo &Undo);
+
+  /// Exact equality: node count, and every half-edge row entry for entry.
+  bool operator==(const AdjacencyGraph &) const = default;
+
+private:
   uint32_t NumNodes = 0;
   std::vector<std::vector<HalfEdge>> Out; // Out[From] -> {To, W}
   std::vector<std::vector<HalfEdge>> In;  // In[To] -> {From, W}
 
-  HalfEdge *findLive(std::vector<HalfEdge> &List, RegId Node);
-  void killHalf(std::vector<HalfEdge> &List, RegId Node);
+  std::vector<HalfEdge> &row(bool OutSide, RegId Node) {
+    return OutSide ? Out[Node] : In[Node];
+  }
+  void addWeight(RegId From, RegId To, double W, MergeUndo *Undo);
+  void killHalf(bool OutSide, RegId Row, RegId Node, MergeUndo *Undo);
 };
 
 } // namespace dra

@@ -10,9 +10,8 @@
 #include "regalloc/InterferenceGraph.h"
 
 #include <algorithm>
-#include <limits>
+#include <iterator>
 #include <map>
-#include <unordered_set>
 
 using namespace dra;
 
@@ -20,9 +19,25 @@ namespace {
 
 /// The merged view of one function's interference + adjacency graphs under
 /// a set of committed coalescences. Nodes are virtual registers; merged
-/// groups are represented by their union-find root.
+/// groups are represented by their root. Parent is kept flat (every vreg
+/// points straight at its root), so find is a single load.
+///
+/// A probe merges in place and rolls back from a MergeUndo record, which
+/// holds only the rows the merge touched: rollback costs O(degree), not a
+/// copy of the graph.
 class MergedGraph {
 public:
+  /// What one merge changed; reusable across probes.
+  struct MergeUndo {
+    RegId U = NoReg, V = NoReg;
+    size_t MembersOfU = 0;     // Members[U].size() before the merge
+    std::vector<RegId> AdjOfU; // Adj[U] before the merge
+    std::vector<RegId> AdjOfV; // Adj[V] before the merge
+    /// Per entry of AdjOfV: the merge inserted U into that neighbour's row.
+    std::vector<uint8_t> AddedU;
+    AdjacencyGraph::MergeUndo AG;
+  };
+
   MergedGraph(const Function &F, const EncodingConfig &C,
               Arena *Scratch = nullptr) {
     NumVRegs = F.NumRegs;
@@ -53,11 +68,7 @@ public:
 
   uint32_t numVRegs() const { return NumVRegs; }
 
-  RegId find(RegId N) const {
-    while (Parent[N] != N)
-      N = Parent[N];
-    return N;
-  }
+  RegId find(RegId N) const { return Parent[N]; }
 
   bool interferes(RegId U, RegId V) const {
     U = find(U);
@@ -66,33 +77,58 @@ public:
   }
 
   /// Merges root \p V into root \p U (both must be roots, distinct,
-  /// non-interfering). Adjacency lists are kept sorted and unique.
-  void merge(RegId U, RegId V) {
+  /// non-interfering). Adjacency lists are kept sorted and unique. With
+  /// \p Undo, records what rollback needs.
+  void merge(RegId U, RegId V, MergeUndo *Undo = nullptr) {
     assert(U == find(U) && V == find(V) && U != V && "merge of non-roots");
     assert(!interferes(U, V) && "merging interfering nodes");
-    Parent[V] = U;
-    auto SortedErase = [](std::vector<RegId> &List, RegId Value) {
-      auto It = std::lower_bound(List.begin(), List.end(), Value);
-      if (It != List.end() && *It == Value)
-        List.erase(It);
-    };
-    auto SortedInsert = [](std::vector<RegId> &List, RegId Value) {
-      auto It = std::lower_bound(List.begin(), List.end(), Value);
-      if (It == List.end() || *It != Value)
-        List.insert(It, Value);
-    };
+    for (RegId M : Members[V])
+      Parent[M] = U;
+    if (Undo) {
+      Undo->U = U;
+      Undo->V = V;
+      Undo->MembersOfU = Members[U].size();
+      Undo->AddedU.clear();
+    }
+    // V's neighbours (never U: the two do not interfere) trade V for U.
     for (RegId N : Adj[V]) {
       SortedErase(Adj[N], V);
-      if (N != U) {
-        SortedInsert(Adj[N], U);
-        SortedInsert(Adj[U], N);
-      }
+      bool Added = SortedInsert(Adj[N], U);
+      if (Undo)
+        Undo->AddedU.push_back(Added);
+    }
+    Union.clear();
+    std::set_union(Adj[U].begin(), Adj[U].end(), Adj[V].begin(),
+                   Adj[V].end(), std::back_inserter(Union));
+    Adj[U].swap(Union);
+    if (Undo) {
+      Undo->AdjOfU.swap(Union);
+      Undo->AdjOfV.swap(Adj[V]);
     }
     Adj[V].clear();
     Members[U].insert(Members[U].end(), Members[V].begin(),
                       Members[V].end());
     Members[V].clear();
-    AG.mergeInto(V, U);
+    AG.mergeInto(V, U, Undo ? &Undo->AG : nullptr);
+  }
+
+  /// Reverts the merge that filled \p Undo; nothing else may have changed
+  /// the graph in between.
+  void rollback(MergeUndo &Undo) {
+    RegId U = Undo.U, V = Undo.V;
+    AG.undoMerge(Undo.AG);
+    Members[V].assign(Members[U].begin() + Undo.MembersOfU, Members[U].end());
+    Members[U].resize(Undo.MembersOfU);
+    for (RegId M : Members[V])
+      Parent[M] = V;
+    Adj[U].swap(Undo.AdjOfU);
+    Adj[V].swap(Undo.AdjOfV);
+    for (size_t I = 0, E = Adj[V].size(); I != E; ++I) {
+      RegId N = Adj[V][I];
+      if (Undo.AddedU[I])
+        SortedErase(Adj[N], U);
+      SortedInsert(Adj[N], V);
+    }
   }
 
   /// Remaining (cross-root) move pairs as ((rootA, rootB), weight).
@@ -129,12 +165,18 @@ public:
   const AdjacencyGraph &adjacency() const { return AG; }
 
   /// All current roots, ascending.
-  std::vector<RegId> roots() const {
-    std::vector<RegId> Result;
+  void roots(std::vector<RegId> &Result) const {
+    Result.clear();
     for (RegId R = 0; R != NumVRegs; ++R)
-      if (find(R) == R)
+      if (Parent[R] == R)
         Result.push_back(R);
-    return Result;
+  }
+
+  /// Same union-find, interference, members and adjacency (entry for
+  /// entry); move weights are fixed per round.
+  bool sameState(const MergedGraph &O) const {
+    return Parent == O.Parent && Members == O.Members && Adj == O.Adj &&
+           AG == O.AG;
   }
 
 private:
@@ -145,34 +187,75 @@ private:
   std::vector<std::vector<RegId>> Adj;
   AdjacencyGraph AG;                          // Root-level adjacency.
   std::map<std::pair<RegId, RegId>, double> MoveWeight;
+  std::vector<RegId> Union; // merge scratch
+
+  static void SortedErase(std::vector<RegId> &List, RegId Value) {
+    auto It = std::lower_bound(List.begin(), List.end(), Value);
+    if (It != List.end() && *It == Value)
+      List.erase(It);
+  }
+  static bool SortedInsert(std::vector<RegId> &List, RegId Value) {
+    auto It = std::lower_bound(List.begin(), List.end(), Value);
+    if (It != List.end() && *It == Value)
+      return false;
+    List.insert(It, Value);
+    return true;
+  }
 };
 
-/// Result of one rebuild&simplify + select probe.
-struct ColorOutcome {
-  bool Colorable = false;
-  double DiffCost = 0;
-  /// Per-vreg colors (only meaningful when Colorable).
-  std::vector<RegId> ColorOfVReg;
-  /// A node that failed to receive a color (when !Colorable).
+/// Chaitin-Briggs simplify + (differential) select over the merged graph —
+/// the rebuild&simplify + select oracle. Its buffers persist across calls.
+class MergedColorer {
+public:
+  MergedColorer(const EncodingConfig &C, bool UseDiffSelect)
+      : C(C), UseDiffSelect(UseDiffSelect) {}
+
+  /// Colors \p G. On failure returns false and sets FailedRoot to a node
+  /// that received no color.
+  bool color(const MergedGraph &G);
+
+  /// Differential cost of the last successful coloring, at vreg
+  /// granularity.
+  double diffCost(const MergedGraph &G) const {
+    return G.adjacency().cost(RootColor, C);
+  }
+
+  /// Per-vreg colors of the last successful coloring.
+  std::vector<RegId> colorOfVRegs(const MergedGraph &G) const {
+    std::vector<RegId> Colors(G.numVRegs());
+    for (RegId V = 0; V != G.numVRegs(); ++V)
+      Colors[V] = RootColor[G.find(V)];
+    return Colors;
+  }
+
   RegId FailedRoot = NoReg;
+
+private:
+  const EncodingConfig &C;
+  bool UseDiffSelect;
+  /// Color per root (NoReg for non-roots and not-yet-colored roots).
+  std::vector<RegId> RootColor;
+  std::vector<RegId> Roots, Stack, LowDegree;
+  std::vector<unsigned> Degree;
+  std::vector<uint8_t> Removed, Used;
+  std::vector<unsigned> OkColors;
+  std::vector<double> Costs;
 };
 
-/// Chaitin-Briggs simplify + (differential) select over the merged graph.
-ColorOutcome colorMerged(const MergedGraph &G, const EncodingConfig &C,
-                         bool UseDiffSelect) {
+bool MergedColorer::color(const MergedGraph &G) {
   unsigned K = C.RegN;
-  std::vector<RegId> Roots = G.roots();
+  G.roots(Roots);
 
   // Degrees among roots.
-  std::vector<unsigned> Degree(G.numVRegs(), 0);
+  Degree.assign(G.numVRegs(), 0);
   for (RegId R : Roots)
     Degree[R] = static_cast<unsigned>(G.neighborsOf(R).size());
 
   // Simplify: low-degree first (worklist), optimistic max-degree removal
   // when stuck (Briggs).
-  std::vector<uint8_t> Removed(G.numVRegs(), 0);
-  std::vector<RegId> Stack;
-  std::vector<RegId> LowDegree;
+  Removed.assign(G.numVRegs(), 0);
+  Stack.clear();
+  LowDegree.clear();
   for (RegId R : Roots)
     if (Degree[R] < K)
       LowDegree.push_back(R);
@@ -204,59 +287,32 @@ ColorOutcome colorMerged(const MergedGraph &G, const EncodingConfig &C,
         LowDegree.push_back(N);
   }
 
-  // Select in reverse removal order.
-  ColorOutcome Out;
-  Out.ColorOfVReg.assign(G.numVRegs(), NoReg);
-  std::vector<RegId> RootColor(G.numVRegs(), NoReg);
-  auto ColorOfVReg = [&](RegId V) {
-    RegId Rep = G.find(V);
-    return RootColor[Rep] == NoReg ? -1 : static_cast<int>(RootColor[Rep]);
-  };
-
+  // Select in reverse removal order. A member of the node being colored
+  // resolves to that (still uncolored) node, so selectCosts skips it.
+  RootColor.assign(G.numVRegs(), NoReg);
+  auto ColorOf = [&](RegId V) { return RootColor[G.find(V)]; };
   for (size_t I = Stack.size(); I > 0; --I) {
     RegId N = Stack[I - 1];
-    std::vector<uint8_t> Used(K, 0);
+    Used.assign(K, 0);
     for (RegId Nbr : G.neighborsOf(N))
       if (RootColor[Nbr] != NoReg)
         Used[RootColor[Nbr]] = 1;
-    std::vector<unsigned> OkColors;
+    OkColors.clear();
     for (unsigned Color = 0; Color != K; ++Color)
       if (!Used[Color])
         OkColors.push_back(Color);
     if (OkColors.empty()) {
-      Out.Colorable = false;
-      Out.FailedRoot = N;
-      return Out;
+      FailedRoot = N;
+      return false;
     }
     unsigned Chosen = OkColors.front();
     if (UseDiffSelect && OkColors.size() > 1) {
-      double BestCost = selectCost(G.adjacency(), C, G.membersOf(N), Chosen,
-                                   ColorOfVReg);
-      for (size_t CI = 1; CI < OkColors.size() && BestCost > 0; ++CI) {
-        double Cost = selectCost(G.adjacency(), C, G.membersOf(N),
-                                 OkColors[CI], ColorOfVReg);
-        if (Cost < BestCost) {
-          BestCost = Cost;
-          Chosen = OkColors[CI];
-        }
-      }
+      selectCosts(G.adjacency(), C, G.membersOf(N), ColorOf, Costs);
+      Chosen = cheapestColor(OkColors, Costs);
     }
     RootColor[N] = Chosen;
   }
-
-  Out.Colorable = true;
-  for (RegId V = 0; V != G.numVRegs(); ++V)
-    Out.ColorOfVReg[V] = RootColor[G.find(V)];
-  // Differential cost of the complete assignment, at vreg granularity.
-  Out.DiffCost = G.adjacency().cost(
-      [&] {
-        std::vector<RegId> RootAssign(G.numVRegs(), NoReg);
-        for (RegId R : G.roots())
-          RootAssign[R] = RootColor[R];
-        return RootAssign;
-      }(),
-      C);
-  return Out;
+  return true;
 }
 
 } // namespace
@@ -272,20 +328,23 @@ CoalesceResult dra::coalesceAndColor(Function &F, const EncodingConfig &C,
   const unsigned MaxSpillRetries = 24;
   unsigned SpillRetries = 0;
 
+  MergedColorer Oracle(C, O.DiffAware);
+  MergedGraph::MergeUndo Undo;
   for (;;) {
     ScopedSpan RoundSpan(SubSpans, "coalesce.round");
     F.recomputeCFG();
     MergedGraph G(F, C, Scratch);
 
     // Greedy best-first coalescing with undo-by-probing (Figure 9): each
-    // step probes candidates on a copy of the merged graph and commits the
-    // best cost reduction.
+    // step probes every candidate merge in place, rolls it back, and
+    // commits the best cost reduction.
     double CurCost;
+    double Remaining = G.remainingMoveWeight();
     {
       ++Result.OracleCalls;
-      ColorOutcome Cur = colorMerged(G, C, O.DiffAware);
-      CurCost = (Cur.Colorable && O.DiffAware ? Cur.DiffCost : 0.0) +
-                G.remainingMoveWeight();
+      bool Colorable = Oracle.color(G);
+      CurCost = (Colorable && O.DiffAware ? Oracle.diffCost(G) : 0.0) +
+                Remaining;
     }
 
     for (unsigned Step = 0; Step != O.MaxSteps; ++Step) {
@@ -311,26 +370,36 @@ CoalesceResult dra::coalesceAndColor(Function &F, const EncodingConfig &C,
 
       double BestNewCost = CurCost;
       std::pair<RegId, RegId> BestPair{NoReg, NoReg};
+      double BestWeight = 0;
       for (const auto &[Pair, Weight] : Candidates) {
-        MergedGraph Probe = G; // Undo by discarding the copy.
-        Probe.merge(Pair.first, Pair.second);
+#ifndef NDEBUG
+        const MergedGraph Before = G;
+#endif
+        G.merge(Pair.first, Pair.second, &Undo);
         ++Result.ProbesAttempted;
         ++Result.OracleCalls;
-        ColorOutcome Probed = colorMerged(Probe, C, O.DiffAware);
-        if (!Probed.Colorable) {
+        bool Colorable = Oracle.color(G);
+        // Move weights are integer counts, so this difference is exact.
+        double NewCost =
+            Colorable ? (O.DiffAware ? Oracle.diffCost(G) : 0.0) +
+                            (Remaining - Weight)
+                      : 0.0;
+        G.rollback(Undo);
+        assert(G.sameState(Before) && "probe rollback changed the graph");
+        if (!Colorable) {
           ++Result.ProbesUncolorable;
           continue;
         }
-        double NewCost = (O.DiffAware ? Probed.DiffCost : 0.0) +
-                         Probe.remainingMoveWeight();
         if (NewCost < BestNewCost - 1e-9) {
           BestNewCost = NewCost;
           BestPair = Pair;
+          BestWeight = Weight;
         }
       }
       if (BestPair.first == NoReg)
         break; // No cost reduction or everything uncolorable.
       G.merge(BestPair.first, BestPair.second);
+      Remaining -= BestWeight;
       CurCost = BestNewCost;
       ++Result.Steps;
       ++Result.MovesCoalesced;
@@ -338,29 +407,29 @@ CoalesceResult dra::coalesceAndColor(Function &F, const EncodingConfig &C,
 
     // Final coloring.
     ++Result.OracleCalls;
-    ColorOutcome Final = colorMerged(G, C, O.DiffAware);
-    if (!Final.Colorable) {
+    if (!Oracle.color(G)) {
       if (++SpillRetries > MaxSpillRetries) {
         Result.Success = false;
         return Result;
       }
       ++Result.SpillRestarts;
       // Spill every member of the failing root and restart.
-      std::vector<RegId> ToSpill = G.membersOf(Final.FailedRoot);
+      std::vector<RegId> ToSpill = G.membersOf(Oracle.FailedRoot);
       for (RegId V : ToSpill) {
         insertSpillCode(F, V);
         ++Result.ExtraSpilledRanges;
       }
       continue;
     }
+    std::vector<RegId> ColorOfVReg = Oracle.colorOfVRegs(G);
 
     // Live-range-granularity refinement of the final assignment (see
     // core/Recolor.h); clusters keep coalesced moves intact.
     if (O.DiffAware) {
-      RecolorStats RS = recolorColoring(F, C, Final.ColorOfVReg);
+      RecolorStats RS = recolorColoring(F, C, ColorOfVReg);
       Result.FinalAdjCost = RS.CostAfter;
     } else {
-      Result.FinalAdjCost = Final.DiffCost;
+      Result.FinalAdjCost = Oracle.diffCost(G);
     }
 
     // Rewrite the function onto physical registers; drop identity moves.
@@ -370,8 +439,8 @@ CoalesceResult dra::coalesceAndColor(Function &F, const EncodingConfig &C,
       for (Instruction I : BB.Insts) {
         for (unsigned Field = 0; Field != I.numRegFields(); ++Field) {
           RegId V = I.regField(Field);
-          assert(Final.ColorOfVReg[V] != NoReg && "uncolored vreg");
-          I.setRegField(Field, Final.ColorOfVReg[V]);
+          assert(ColorOfVReg[V] != NoReg && "uncolored vreg");
+          I.setRegField(Field, ColorOfVReg[V]);
         }
         if (I.Op == Opcode::Mov && I.Dst == I.Src1)
           continue;

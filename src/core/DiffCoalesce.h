@@ -11,7 +11,9 @@
 /// tentatively coalesces every remaining move candidate, calls the
 /// rebuild&simplify + differential-select subroutine to obtain the
 /// resulting coloring cost (or "uncolorable"), undoes the attempt, and
-/// finally commits the candidate with the maximal cost reduction. The
+/// finally commits the candidate with the maximal cost reduction. A probe
+/// merges in place and is rolled back from an undo record of the rows the
+/// merge touched, so it costs O(degree) rather than a graph copy. The
 /// driver then colors the merged graph with differential select and
 /// rewrites the function; if the optimistic coloring fails (pressure <= K
 /// does not guarantee colorability), the cheapest failing node is spilled
@@ -70,7 +72,7 @@ struct CoalesceResult {
   /// (colorMerged): the current-cost evaluation, one per candidate probe,
   /// and the final coloring of each restart round.
   size_t OracleCalls = 0;
-  /// Tentative coalescences probed on a graph copy.
+  /// Tentative coalescences probed (merged in place, then rolled back).
   size_t ProbesAttempted = 0;
   /// Probes whose merged graph the oracle failed to color (rejected).
   size_t ProbesUncolorable = 0;

@@ -2,42 +2,19 @@
 
 #include "core/DiffSelectHook.h"
 
-#include <algorithm>
+#include <cassert>
 
 using namespace dra;
 
-double dra::selectCost(const AdjacencyGraph &G, const EncodingConfig &C,
-                       const std::vector<RegId> &Members, unsigned Color,
-                       const std::function<int(RegId)> &ColorOfVReg) {
-  double Total = 0;
-  auto IsMember = [&](RegId R) {
-    return std::find(Members.begin(), Members.end(), R) != Members.end();
-  };
-  for (RegId M : Members) {
-    if (M >= G.numNodes())
-      continue;
-    G.forEachOut(M, [&](RegId To, double W) {
-      if (IsMember(To))
-        return; // Same node: difference 0, always encodable.
-      int ToColor = ColorOfVReg(To);
-      if (ToColor < 0)
-        return;
-      if (static_cast<unsigned>(ToColor) != Color &&
-          !C.encodable(Color, static_cast<RegId>(ToColor)))
-        Total += W;
-    });
-    G.forEachIn(M, [&](RegId From, double W) {
-      if (IsMember(From))
-        return;
-      int FromColor = ColorOfVReg(From);
-      if (FromColor < 0)
-        return;
-      if (static_cast<unsigned>(FromColor) != Color &&
-          !C.encodable(static_cast<RegId>(FromColor), Color))
-        Total += W;
-    });
-  }
-  return Total;
+unsigned dra::cheapestColor(const std::vector<unsigned> &Colors,
+                           const std::vector<double> &Costs) {
+  assert(!Colors.empty() && Colors.back() < Costs.size() &&
+         "candidate colors out of range");
+  unsigned Best = Colors.front();
+  for (size_t I = 1; I < Colors.size() && Costs[Best] > 0; ++I)
+    if (Costs[Colors[I]] < Costs[Best])
+      Best = Colors[I];
+  return Best;
 }
 
 void DiffSelectHook::beginFunction(const Function &F) {
@@ -47,16 +24,7 @@ void DiffSelectHook::beginFunction(const Function &F) {
 unsigned DiffSelectHook::choose(const SelectContext &Ctx) {
   const std::vector<unsigned> &OkColors = *Ctx.OkColors;
   assert(!OkColors.empty() && "choose() with no legal colors");
-  unsigned BestColor = OkColors.front();
-  double BestCost = selectCost(Adjacency, Config, *Ctx.Members, BestColor,
-                               Ctx.ColorOfVReg);
-  for (size_t I = 1; I < OkColors.size() && BestCost > 0; ++I) {
-    double Cost = selectCost(Adjacency, Config, *Ctx.Members, OkColors[I],
-                             Ctx.ColorOfVReg);
-    if (Cost < BestCost) {
-      BestCost = Cost;
-      BestColor = OkColors[I];
-    }
-  }
-  return BestColor;
+  selectCosts(Adjacency, Config, *Ctx.Members,
+              [&](RegId V) { return Ctx.colorOf(V); }, Costs);
+  return cheapestColor(OkColors, Costs);
 }

@@ -62,47 +62,49 @@ RecolorStats dra::recolorColoring(const Function &F, const EncodingConfig &C,
     if (ColorOf[MP.Dst] == ColorOf[MP.Src])
       UF.unite(MP.Dst, MP.Src);
 
+  std::vector<RegId> ClusterOf(F.NumRegs);
   std::vector<std::vector<RegId>> Members(F.NumRegs);
-  for (RegId V = 0; V != F.NumRegs; ++V)
-    Members[UF.find(V)].push_back(V);
+  for (RegId V = 0; V != F.NumRegs; ++V) {
+    ClusterOf[V] = UF.find(V);
+    Members[ClusterOf[V]].push_back(V);
+  }
 
   std::vector<RegId> Clusters;
   for (RegId V = 0; V != F.NumRegs; ++V)
     if (!Members[V].empty())
       Clusters.push_back(V);
-
-  auto ColorOfVReg = [&](RegId V) {
-    return ColorOf[V] == NoReg ? -1 : static_cast<int>(ColorOf[V]);
-  };
   Stats.Clusters = Clusters.size();
 
+  std::vector<uint8_t> Used;
+  std::vector<double> Costs;
   for (Stats.Sweeps = 0; Stats.Sweeps != O.MaxSweeps; ++Stats.Sweeps) {
     bool Changed = false;
     for (RegId Root : Clusters) {
       const std::vector<RegId> &Group = Members[Root];
       unsigned Current = ColorOf[Root];
-      // Legal colors: not used by any interference neighbor outside the
-      // cluster.
-      std::vector<uint8_t> Used(K, 0);
-      for (RegId V : Group)
-        for (RegId N : IG.neighbors(V))
-          if (UF.find(N) != Root && ColorOf[N] != NoReg)
-            Used[ColorOf[N]] = 1;
-      // Cost per candidate; keep the current color on ties.
+      auto ColorOutside = [&](RegId V) {
+        return ClusterOf[V] == Root ? NoReg : ColorOf[V];
+      };
+      selectCosts(AG, C, Group, ColorOutside, Costs);
       ++Stats.CandidateEvals;
-      double CurCost =
-          selectCost(AG, C, Group, Current, ColorOfVReg);
+      double CurCost = Costs[Current];
       if (CurCost == 0)
         continue;
+      // Legal colors: not used by any interference neighbor outside the
+      // cluster. Keep the current color on ties.
+      Used.assign(K, 0);
+      for (RegId V : Group)
+        for (RegId N : IG.neighbors(V))
+          if (ClusterOf[N] != Root && ColorOf[N] != NoReg)
+            Used[ColorOf[N]] = 1;
       unsigned BestColor = Current;
       double BestCost = CurCost;
       for (unsigned Color = 0; Color != K; ++Color) {
         if (Used[Color] || Color == Current)
           continue;
         ++Stats.CandidateEvals;
-        double Cost = selectCost(AG, C, Group, Color, ColorOfVReg);
-        if (Cost < BestCost - 1e-9) {
-          BestCost = Cost;
+        if (Costs[Color] < BestCost - 1e-9) {
+          BestCost = Costs[Color];
           BestColor = Color;
         }
       }

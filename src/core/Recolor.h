@@ -46,8 +46,8 @@ struct RecolorStats {
   size_t Changes = 0;
   /// Move-tied clusters considered (the search space size).
   size_t Clusters = 0;
-  /// Candidate color evaluations (selectCost calls) across all sweeps —
-  /// the recoloring descent's unit of work.
+  /// Candidate colors priced (one selectCosts entry each) across all
+  /// sweeps — the recoloring descent's unit of work.
   size_t CandidateEvals = 0;
 };
 

@@ -73,7 +73,7 @@ const char *dra::opcodeName(Opcode Op) {
   return "<bad>";
 }
 
-RegId Instruction::def() const {
+bool Instruction::hasDef() const {
   switch (Op) {
   case Opcode::Store:
   case Opcode::SpillSt:
@@ -81,9 +81,9 @@ RegId Instruction::def() const {
   case Opcode::Jmp:
   case Opcode::Ret:
   case Opcode::SetLastReg:
-    return NoReg;
+    return false;
   default:
-    return Dst;
+    return true;
   }
 }
 
@@ -148,7 +148,8 @@ void Instruction::setRegField(unsigned Idx, RegId R) {
     Src2 = R;
     return;
   }
-  assert(Idx == NumUses && def() != NoReg && "register field out of range");
+  // Decoders fill the destination in here, so Dst may still be NoReg.
+  assert(Idx == NumUses && hasDef() && "register field out of range");
   Dst = R;
 }
 

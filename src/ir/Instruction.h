@@ -118,8 +118,12 @@ struct Instruction {
     return Op == Opcode::SpillLd || Op == Opcode::SpillSt;
   }
 
+  /// True when the opcode has a destination register field (whether or
+  /// not Dst is filled in yet).
+  bool hasDef() const;
+
   /// Defined register or NoReg.
-  RegId def() const;
+  RegId def() const { return hasDef() ? Dst : NoReg; }
 
   /// Appends the used registers (at most two, in access-order position:
   /// src1 then src2) to \p Uses.

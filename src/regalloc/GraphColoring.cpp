@@ -550,20 +550,22 @@ void IrcRound::selectSpill() {
 }
 
 void IrcRound::assignColors() {
-  // Members of each representative, for the select hook (only needed when
-  // a hook will read them).
+  // Representative and members of each node, for the select hook (only
+  // needed when a hook will read them). Aliases no longer change here.
+  std::vector<RegId> RepOf;
   std::vector<std::vector<RegId>> MembersOf;
   if (Hook) {
+    RepOf.resize(NumNodes);
     MembersOf.resize(NumNodes);
-    for (RegId N = 0; N != NumNodes; ++N)
-      MembersOf[getAlias(N)].push_back(N);
+    for (RegId N = 0; N != NumNodes; ++N) {
+      RepOf[N] = getAlias(N);
+      MembersOf[RepOf[N]].push_back(N);
+    }
   }
 
   SelectContext Ctx;
-  Ctx.ColorOfVReg = [this](RegId V) {
-    RegId Rep = getAlias(V);
-    return ColorOf[Rep] == NoReg ? -1 : static_cast<int>(ColorOf[Rep]);
-  };
+  Ctx.RepOf = RepOf.data();
+  Ctx.ColorOfRep = ColorOf;
 
   std::vector<uint8_t> &Used = S.UsedColors;
   std::vector<unsigned> &OkColors = S.OkColors;

@@ -19,7 +19,6 @@
 
 #include "ir/Instruction.h"
 
-#include <functional>
 #include <vector>
 
 namespace dra {
@@ -32,9 +31,14 @@ struct SelectContext {
   const std::vector<RegId> *Members = nullptr;
   /// Colors legal for this node, ascending.
   const std::vector<unsigned> *OkColors = nullptr;
-  /// Resolves a virtual register (through coalescing aliases) to its color,
-  /// or returns -1 if that register's node is not yet colored.
-  std::function<int(RegId)> ColorOfVReg;
+  /// Node (coalescing representative) of every virtual register.
+  const RegId *RepOf = nullptr;
+  /// Color of every node so far; NoReg while the node is uncolored.
+  const RegId *ColorOfRep = nullptr;
+
+  /// Color of virtual register \p V's node, or NoReg if that node is not
+  /// yet colored.
+  RegId colorOf(RegId V) const { return ColorOfRep[RepOf[V]]; }
 };
 
 /// Strategy interface for the select stage.

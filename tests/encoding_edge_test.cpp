@@ -78,7 +78,9 @@ TEST(EncoderEdge, UnreachableBlockStillDecodable) {
   uint32_t Dead = F.makeBlock();
   IRBuilder B(F);
   B.setBlock(B0);
-  RegId V = B.createMovImm(7);
+  // Fixed registers keep NumRegs at 12, the RegN encoded at below.
+  RegId V = 0;
+  B.createMovImmTo(V, 7);
   B.createRet(V);
   B.setBlock(Dead);
   B.createMovImmTo(9, 1); // Never executed; still must encode sanely.
