@@ -23,9 +23,10 @@
 ///              set_last_reg as value:8 delay:4)
 ///
 /// Direct mode stores absolute register numbers in the fields; the
-/// differential mode stores the encoder's difference codes, and decoding
-/// recovers the absolute numbers through the shared decode-state dataflow
-/// (decodeFunction), exactly like the modified hardware would.
+/// differential mode stores the encoder's difference codes. Decoding a
+/// differential module only parses the bits; the absolute numbers come
+/// from decodeFunction, the same hardware-order decode walk every other
+/// caller uses.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,9 +66,11 @@ BinaryModule emitDifferential(const EncodedFunction &E,
 std::optional<Function> decodeDirect(const BinaryModule &M,
                                      std::string *Err = nullptr);
 
-/// Decodes a differential-mode module back to the (Annotated, Codes) pair;
-/// pass the result through decodeFunction() to recover absolute register
-/// numbers.
+/// Decodes a differential-mode module back to the (Annotated, Codes) pair,
+/// with Annotated's register fields recovered from the codes by
+/// decodeFunction(). Returns std::nullopt (with a diagnostic) on malformed
+/// input, including a field code that is neither a difference nor one of
+/// C's reserved special codes.
 std::optional<EncodedFunction>
 decodeDifferential(const BinaryModule &M, const EncodingConfig &C,
                    std::string *Err = nullptr);

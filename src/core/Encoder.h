@@ -21,9 +21,15 @@
 ///    the block head.
 ///
 /// Decoding is the exact inverse; `decodeFunction` reconstructs every
-/// register number (Equation (2)) and is used by the round-trip property
-/// tests. `verifyDecodable` independently checks, by dataflow over all CFG
-/// paths, that the decode state is uniquely determined at every field.
+/// register number (Equation (2)) from the codes alone, walking the blocks
+/// the way the hardware would. `verifyDecodable` independently checks, by
+/// dataflow over all CFG paths, that the decode state is uniquely
+/// determined at every field.
+///
+/// The encoder, decoder and verifier also take a ClassedConfig (Section
+/// 9.1): one `last_reg` per register class, differences taken within the
+/// class. An EncodingConfig is the one-class case, so both run the same
+/// code.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,7 +53,7 @@ struct EncodeStats {
   size_t SetLastRange = 0;
   /// Total instructions in the annotated function (including slr).
   size_t NumInsts = 0;
-  /// Register-field bits emitted (NumFields * DiffW).
+  /// Register-field bits emitted (the sum of each field's DiffW).
   size_t FieldBits = 0;
   /// Register fields encoded.
   size_t NumFields = 0;
@@ -75,13 +81,30 @@ EncodedFunction encodeFunction(const Function &F, const EncodingConfig &C);
 
 /// Decodes \p E back into a function with absolute register numbers,
 /// keeping the set_last_reg instructions in place (so the result can be
-/// compared against E.Annotated field by field).
+/// compared against E.Annotated field by field). Only the codes and the
+/// set_last_reg instructions are read, never E.Annotated's register
+/// fields. Blocks are decoded in reverse postorder from the entry: a
+/// block starts from last_reg = 0 (block 0), else from the exit of its
+/// first already-decoded predecessor, and a head set_last_reg overrides
+/// either. Unreachable blocks follow, decoded from their head repair.
+/// Every code must be a difference or a reserved special code.
 Function decodeFunction(const EncodedFunction &E, const EncodingConfig &C);
 
 /// Checks that the decode state (`last_reg`) of \p Annotated is uniquely
 /// determined at every register field along every CFG path. Returns true
 /// on success; otherwise false with a diagnostic in \p Err (if non-null).
 bool verifyDecodable(const Function &Annotated, const EncodingConfig &C,
+                     std::string *Err = nullptr);
+
+/// The multi-class forms of the three functions above (Section 9.1).
+/// Every register operand of \p F must belong to some class of \p C, and
+/// C.valid(F.NumRegs) must hold. A head set_last_reg is placed for every
+/// class whose entry state is ambiguous, as in the one-class case. The
+/// decoder takes each field's class (never its number) from the annotated
+/// operand, standing in for the opcode that fixes it in a real ISA.
+EncodedFunction encodeFunction(const Function &F, const ClassedConfig &C);
+Function decodeFunction(const EncodedFunction &E, const ClassedConfig &C);
+bool verifyDecodable(const Function &Annotated, const ClassedConfig &C,
                      std::string *Err = nullptr);
 
 /// Returns a copy of \p F with every SetLastReg instruction removed.

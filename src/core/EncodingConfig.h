@@ -19,6 +19,7 @@
 #include "ir/Instruction.h"
 
 #include <cassert>
+#include <string>
 #include <vector>
 
 namespace dra {
@@ -132,6 +133,80 @@ public:
 private:
   static constexpr unsigned NotSpecial = ~0u;
   std::vector<unsigned> Table;
+};
+
+/// One register class of a multi-class machine (Section 9.1): its member
+/// registers (class-local number = index in Members) and its
+/// field-encoding parameters. Differences are taken modulo the class size.
+struct RegClass {
+  std::string Name;
+  /// Machine register numbers belonging to this class, in class-local
+  /// numbering order.
+  std::vector<RegId> Members;
+  /// Distinct differences encodable in this class's register fields.
+  unsigned DiffN = 8;
+  /// Field width in bits.
+  unsigned DiffW = 3;
+};
+
+/// A partition of the machine registers into classes, each with its own
+/// last_reg (Section 9.1: "during decoding, we need a separate last_reg
+/// register for each class"). A set_last_reg's class is implied by its
+/// value, so no new instruction bits are needed. The encoder, decoder and
+/// verifier in core/Encoder.h take this or an EncodingConfig, which is the
+/// one-class case.
+struct ClassedConfig {
+  std::vector<RegClass> Classes;
+  AccessOrder Order = AccessOrder::SrcFirst;
+
+  /// Total registers across classes.
+  unsigned totalRegs() const {
+    unsigned Total = 0;
+    for (const RegClass &Cls : Classes)
+      Total += static_cast<unsigned>(Cls.Members.size());
+    return Total;
+  }
+
+  /// Class index of register \p R (asserts when unassigned).
+  unsigned classOf(RegId R) const {
+    for (unsigned Idx = 0; Idx != Classes.size(); ++Idx)
+      for (RegId M : Classes[Idx].Members)
+        if (M == R)
+          return Idx;
+    assert(false && "register not in any class");
+    return 0;
+  }
+
+  /// Class-local index of register \p R.
+  unsigned localIndex(RegId R) const {
+    const std::vector<RegId> &Members = Classes[classOf(R)].Members;
+    for (unsigned I = 0; I != Members.size(); ++I)
+      if (Members[I] == R)
+        return I;
+    assert(false && "register not in its class");
+    return 0;
+  }
+
+  /// True if every register below \p NumRegs belongs to exactly one class
+  /// and every class's codes fit its field width.
+  bool valid(unsigned NumRegs) const {
+    std::vector<int> Owner(NumRegs, -1);
+    for (unsigned Idx = 0; Idx != Classes.size(); ++Idx) {
+      const RegClass &Cls = Classes[Idx];
+      if (Cls.Members.empty() || Cls.DiffN == 0 || Cls.DiffW == 0 ||
+          Cls.DiffN > (1u << Cls.DiffW) || Cls.DiffN > Cls.Members.size())
+        return false;
+      for (RegId M : Cls.Members) {
+        if (M >= NumRegs || Owner[M] != -1)
+          return false;
+        Owner[M] = static_cast<int>(Idx);
+      }
+    }
+    for (int O : Owner)
+      if (O == -1)
+        return false;
+    return true;
+  }
 };
 
 /// The paper's low-end configuration (Section 10.1): 3-bit fields, 8

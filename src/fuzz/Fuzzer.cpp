@@ -3,6 +3,7 @@
 #include "fuzz/Fuzzer.h"
 
 #include "adt/Rng.h"
+#include "core/BinaryEmitter.h"
 #include "core/Encoder.h"
 #include "driver/ResultCache.h"
 #include "frontend/CSourceGen.h"
@@ -208,6 +209,28 @@ uint64_t encodedStreamHash(const Function &F, const EncodingConfig &C) {
   return H;
 }
 
+/// First register field where \p B differs from \p A, as a message.
+std::optional<std::string> registerFieldMismatch(const Function &A,
+                                                 const Function &B) {
+  if (A.Blocks.size() != B.Blocks.size())
+    return "block counts differ";
+  for (size_t Blk = 0; Blk != A.Blocks.size(); ++Blk) {
+    const std::vector<Instruction> &IA = A.Blocks[Blk].Insts;
+    const std::vector<Instruction> &IB = B.Blocks[Blk].Insts;
+    if (IA.size() != IB.size())
+      return "bb" + std::to_string(Blk) + " instruction counts differ";
+    for (size_t I = 0; I != IA.size(); ++I) {
+      bool Same = IA[I].Op == IB[I].Op;
+      for (unsigned Fld = 0; Same && Fld != IA[I].numRegFields(); ++Fld)
+        Same = IA[I].regField(Fld) == IB[I].regField(Fld);
+      if (!Same)
+        return "bb" + std::to_string(Blk) + "[" + std::to_string(I) +
+               "]: '" + toString(IA[I]) + "' vs '" + toString(IB[I]) + "'";
+    }
+  }
+  return std::nullopt;
+}
+
 } // namespace
 
 std::string FuzzCase::name() const {
@@ -389,6 +412,16 @@ std::optional<std::string> dra::checkProgram(const Function &P,
   OracleResult OR = compareLockstep(Allocated, Decoded, OO);
   if (!OR.Match)
     return "lockstep oracle (allocated vs decoded): " + OR.Divergence;
+
+  // The bit-exact path: emitted machine code, parsed and decoded like the
+  // hardware, must give back every register field.
+  std::optional<EncodedFunction> Bin =
+      decodeDifferential(emitDifferential(E, FC.Enc), FC.Enc, &Err);
+  if (!Bin)
+    return "binary decode rejected the emitted module: " + Err;
+  if (std::optional<std::string> Diff =
+          registerFieldMismatch(E.Annotated, Bin->Annotated))
+    return "binary round trip: " + *Diff;
 
   // Structural invariants.
   if (!R.Remap.Perm.empty() &&

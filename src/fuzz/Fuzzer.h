@@ -36,7 +36,9 @@
 ///     decodes, and checks `stripSetLastReg(decode(encode(F))) == F`
 ///     field for field;
 ///  3. runs the lockstep interpreter oracle (fuzz/Oracle.h) between the
-///     allocated function and its round trip;
+///     allocated function and its round trip, then emits the encoding as
+///     machine code (core/BinaryEmitter.h) and requires decoding the bits
+///     to give back every register field;
 ///  4. checks structural invariants (fuzz/Invariants.h): remap permutation
 ///     well-formedness, interference preservation under a fresh remap
 ///     probe, move legality after coalescing.

@@ -4,11 +4,14 @@
 #include "core/BinaryEmitter.h"
 #include "core/Pipeline.h"
 #include "interp/Interpreter.h"
+#include "ir/IRBuilder.h"
 #include "regalloc/GraphColoring.h"
 #include "workloads/MiBench.h"
 #include "workloads/ProgramGen.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace dra;
 
@@ -104,6 +107,62 @@ TEST(BinaryEmitter, DifferentialRoundTrip) {
   EXPECT_TRUE(sameRegisterFields(E.Annotated, Decoded->Annotated));
 }
 
+TEST(BinaryEmitter, DifferentialRoundTripsUnreachableBlocks) {
+  // Reachable bb0 and dead bb1 both jump to bb2. The dead block is never
+  // reached from the entry, yet its fields must decode from its head
+  // repair like any other block's.
+  Function F;
+  F.NumRegs = 12;
+  F.MemWords = 4;
+  uint32_t B0 = F.makeBlock();
+  uint32_t Dead = F.makeBlock();
+  uint32_t Join = F.makeBlock();
+  IRBuilder B(F);
+  B.setBlock(B0);
+  B.createMovImmTo(1, 5);
+  B.createJmp(Join);
+  B.setBlock(Dead);
+  Instruction Mov;
+  Mov.Op = Opcode::Mov;
+  Mov.Dst = 9;
+  Mov.Src1 = 1;
+  F.Blocks[Dead].Insts.push_back(Mov);
+  B.createJmp(Join);
+  B.setBlock(Join);
+  B.createRet(1);
+  F.recomputeCFG();
+
+  EncodingConfig C = lowEndConfig(12);
+  EncodedFunction E = encodeFunction(F, C);
+  std::string Err;
+  auto Decoded = decodeDifferential(emitDifferential(E, C), C, &Err);
+  ASSERT_TRUE(Decoded.has_value()) << Err;
+  EXPECT_TRUE(sameRegisterFields(E.Annotated, Decoded->Annotated));
+  EXPECT_EQ(Decoded->Codes, E.Codes);
+}
+
+TEST(BinaryEmitter, OutOfRangeFieldCodeRejected) {
+  // Bits from outside: a field code past DiffN + |SpecialRegs| names no
+  // difference and no special register. Decoding reports it as an error.
+  EncodingConfig C = lowEndConfig(12);
+  C.DiffN = 6;
+  C.SpecialRegs = {11};
+  ASSERT_TRUE(C.valid()); // Codes 0..6 are meaningful; 7 is not.
+  Function F = allocatedProgram(13, 11);
+  EncodedFunction E = encodeFunction(F, C);
+  std::string Err;
+  ASSERT_TRUE(decodeDifferential(emitDifferential(E, C), C, &Err)) << Err;
+
+  std::vector<std::vector<uint8_t>> &EntryCodes = E.Codes[0];
+  auto It = std::find_if(EntryCodes.begin(), EntryCodes.end(),
+                         [](const auto &Codes) { return !Codes.empty(); });
+  ASSERT_NE(It, EntryCodes.end());
+  It->back() = 7;
+  Err.clear();
+  EXPECT_FALSE(decodeDifferential(emitDifferential(E, C), C, &Err));
+  EXPECT_FALSE(Err.empty());
+}
+
 TEST(BinaryEmitter, DifferentialFieldsAreNarrower) {
   // The paper's core claim, measured on real emitted bits: the same
   // program addressing 12 registers spends 3 bits per field
@@ -129,6 +188,21 @@ TEST(BinaryEmitter, TruncatedInputRejected) {
   std::string Err;
   EXPECT_FALSE(decodeDirect(M, &Err).has_value());
   EXPECT_FALSE(Err.empty());
+}
+
+TEST(BinaryEmitter, BranchTargetOutOfRangeRejected) {
+  // A jump to a block the module does not have is malformed input; the
+  // decoder must report it rather than build a CFG edge to nowhere.
+  Function F;
+  F.NumRegs = 4;
+  F.makeBlock();
+  Instruction Jmp;
+  Jmp.Op = Opcode::Jmp;
+  Jmp.Target0 = 5;
+  F.Blocks[0].Insts.push_back(Jmp);
+  std::string Err;
+  EXPECT_FALSE(decodeDirect(emitDirect(F), &Err).has_value());
+  EXPECT_NE(Err.find("branch target"), std::string::npos) << Err;
 }
 
 TEST(BinaryEmitter, DeterministicBytes) {

@@ -1,7 +1,7 @@
 //===- tests/classed_test.cpp - Multi-class encoding tests (S9.1) ---------===//
 
 #include "core/AccessSequence.h"
-#include "core/ClassedEncoder.h"
+#include "core/Encoder.h"
 #include "interp/Interpreter.h"
 #include "ir/IRBuilder.h"
 #include "regalloc/GraphColoring.h"
@@ -30,6 +30,20 @@ ClassedConfig twoClassConfig() {
   Addrs.DiffN = 4;
   Addrs.DiffW = 2;
   C.Classes = {Ints, Addrs};
+  return C;
+}
+
+/// The low-end encoding (lowEndConfig(12)) written as a one-class
+/// partition.
+ClassedConfig oneClassLowEnd() {
+  ClassedConfig C;
+  RegClass All;
+  All.Name = "all";
+  for (RegId R = 0; R != 12; ++R)
+    All.Members.push_back(R);
+  All.DiffN = 8;
+  All.DiffW = 3;
+  C.Classes = {All};
   return C;
 }
 
@@ -106,7 +120,7 @@ TEST(ClassedEncoder, ClassesKeepIndependentState) {
   F.Blocks[0].Insts.push_back(Ret);
   F.recomputeCFG();
 
-  ClassedEncodedFunction E = encodeClassedFunction(F, C);
+  EncodedFunction E = encodeFunction(F, C);
   EXPECT_EQ(E.Stats.setLastTotal(), 0u);
   // mov r1, r0: codes 0 (src, diff 0 from entry), 1 (dst).
   EXPECT_EQ(E.Codes[0][0][0], 0u);
@@ -135,11 +149,107 @@ TEST(ClassedEncoder, OutOfRangeRepairedWithinClass) {
   Ret.Src1 = 10;
   F.Blocks[0].Insts.push_back(Ret);
   F.recomputeCFG();
-  ClassedEncodedFunction E = encodeClassedFunction(F, C);
-  EXPECT_EQ(E.Stats.PerClass[1].SetLastRange, 1u);
-  EXPECT_EQ(E.Stats.PerClass[0].SetLastRange, 0u);
+  EncodedFunction E = encodeFunction(F, C);
+  // One repair, and it re-targets the addr class (r15, local 5).
+  EXPECT_EQ(E.Stats.setLastTotal(), 1u);
+  EXPECT_EQ(E.Stats.SetLastRange, 1u);
+  ASSERT_EQ(E.Annotated.Blocks[0].Insts[0].Op, Opcode::SetLastReg);
+  EXPECT_EQ(C.classOf(static_cast<RegId>(E.Annotated.Blocks[0].Insts[0].Imm)),
+            1u);
   std::string Err;
-  EXPECT_TRUE(verifyClassedDecodable(E.Annotated, C, &Err)) << Err;
+  EXPECT_TRUE(verifyDecodable(E.Annotated, C, &Err)) << Err;
+}
+
+TEST(ClassedEncoder, DeadPredecessorJoinMatchesOneClassEncoder) {
+  // Reachable bb0 and dead bb1 both jump to bb2. Only bb1 needs a head
+  // repair: the dead predecessor must not make bb2's join ambiguous. The
+  // one-class partition must reproduce encodeFunction exactly.
+  Function F;
+  F.NumRegs = 12;
+  F.MemWords = 4;
+  uint32_t B0 = F.makeBlock();
+  uint32_t Dead = F.makeBlock();
+  uint32_t Join = F.makeBlock();
+  IRBuilder B(F);
+  B.setBlock(B0);
+  B.createMovImmTo(1, 5);
+  B.createJmp(Join);
+  B.setBlock(Dead);
+  Instruction Mov;
+  Mov.Op = Opcode::Mov;
+  Mov.Dst = 9;
+  Mov.Src1 = 1;
+  F.Blocks[Dead].Insts.push_back(Mov);
+  B.createJmp(Join);
+  B.setBlock(Join);
+  B.createRet(1);
+  F.recomputeCFG();
+
+  EncodedFunction Single = encodeFunction(F, lowEndConfig(12));
+  EncodedFunction Classed = encodeFunction(F, oneClassLowEnd());
+  EXPECT_EQ(Single.Stats.SetLastJoin, 1u);
+  EXPECT_EQ(Classed.Stats.SetLastJoin, Single.Stats.SetLastJoin);
+  EXPECT_EQ(Classed.Stats.setLastTotal(), Single.Stats.setLastTotal());
+  EXPECT_EQ(printFunction(Classed.Annotated), printFunction(Single.Annotated));
+  EXPECT_EQ(Classed.Codes, Single.Codes);
+  std::string Err;
+  EXPECT_TRUE(verifyDecodable(Classed.Annotated, oneClassLowEnd(), &Err))
+      << Err;
+}
+
+TEST(ClassedEncoder, VerifyRejectsOverDelayedSlr) {
+  // A delayed set_last_reg whose delay is >= the next instruction's field
+  // count never applies; the classed verifier must reject it too.
+  Function F;
+  F.NumRegs = 16;
+  F.MemWords = 4;
+  F.makeBlock();
+  Instruction Slr;
+  Slr.Op = Opcode::SetLastReg;
+  Slr.Imm = 12;
+  Slr.Aux = 2; // Would apply before field 2 — but ret has only one field.
+  F.Blocks[0].Insts.push_back(Slr);
+  Instruction Ret;
+  Ret.Op = Opcode::Ret;
+  Ret.Src1 = 10;
+  F.Blocks[0].Insts.push_back(Ret);
+  F.recomputeCFG();
+  std::string Err;
+  EXPECT_FALSE(verifyDecodable(F, twoClassConfig(), &Err));
+  EXPECT_NE(Err.find("never applies"), std::string::npos) << Err;
+}
+
+TEST(ClassedEncoder, VerifyRejectsDanglingDelayedSlr) {
+  // A delayed set_last_reg as the final instruction of a block has no
+  // following instruction to apply at.
+  Function F;
+  F.NumRegs = 16;
+  F.MemWords = 4;
+  uint32_t B0 = F.makeBlock();
+  IRBuilder B(F);
+  B.setBlock(B0);
+  B.createMovImmTo(10, 7);
+  Instruction Slr;
+  Slr.Op = Opcode::SetLastReg;
+  Slr.Imm = 3;
+  Slr.Aux = 1;
+  F.Blocks[B0].Insts.push_back(Slr);
+  F.recomputeCFG();
+  std::string Err;
+  EXPECT_FALSE(verifyDecodable(F, twoClassConfig(), &Err));
+  EXPECT_NE(Err.find("dangles"), std::string::npos) << Err;
+}
+
+TEST(ClassedEncoder, ZeroBlockFunctionIsVacuouslyDecodable) {
+  Function F;
+  F.NumRegs = 16;
+  ClassedConfig C = twoClassConfig();
+  std::string Err;
+  EXPECT_TRUE(verifyDecodable(F, C, &Err)) << Err;
+  EncodedFunction E = encodeFunction(F, C);
+  EXPECT_TRUE(E.Annotated.Blocks.empty());
+  EXPECT_TRUE(E.Codes.empty());
+  EXPECT_EQ(E.Stats.setLastTotal(), 0u);
 }
 
 /// Round-trip property across random allocated programs.
@@ -149,10 +259,10 @@ TEST_P(ClassedRoundTrip, DecodeRecoversEveryField) {
   ClassedConfig C = twoClassConfig();
   Function F = allocated16(static_cast<uint64_t>(GetParam()) * 41 + 3);
   ExecResult Before = interpret(F);
-  ClassedEncodedFunction E = encodeClassedFunction(F, C);
+  EncodedFunction E = encodeFunction(F, C);
   std::string Err;
-  ASSERT_TRUE(verifyClassedDecodable(E.Annotated, C, &Err)) << Err;
-  Function Decoded = decodeClassedFunction(E, C);
+  ASSERT_TRUE(verifyDecodable(E.Annotated, C, &Err)) << Err;
+  Function Decoded = decodeFunction(E, C);
   EXPECT_TRUE(sameRegisterFields(Decoded, E.Annotated));
   // Codes fit each class's field width.
   for (uint32_t B = 0; B != E.Annotated.Blocks.size(); ++B)
