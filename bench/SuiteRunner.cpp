@@ -1,6 +1,7 @@
 //===- bench/SuiteRunner.cpp - Shared experiment drivers ------------------===//
 
 #include "SuiteRunner.h"
+#include "RemapReference.h"
 
 #include "adt/Rng.h"
 #include "core/Remap.h"
@@ -275,7 +276,8 @@ std::vector<VliwRow> dra::runVliwSuite(unsigned LoopCount, unsigned Jobs,
                    vliwCachePath(Opts.Count).c_str());
       // The remap-search microbenchmark is cheap and cache-independent,
       // so BENCH_vliw.json always carries the remap.* throughput gauges.
-      recordRemapSearchPerf(Reg, measureRemapSearch(64, 12, {2, 4}));
+      recordRemapSearchPerf(
+          Reg, measureRemapSearch(denseIntegerRemapCase(64), 12, {2, 4}));
       writeVliwBenchJson(Reg, Cached, /*Cached=*/true);
       return Cached;
     }
@@ -413,58 +415,80 @@ std::vector<VliwRow> dra::runVliwSuite(unsigned LoopCount, unsigned Jobs,
                        "worker(s)\n",
                Corpus.size(), WallMs, Pool.workerCount());
   storeVliwCache(Opts.Count, Rows);
-  recordRemapSearchPerf(Reg, measureRemapSearch(64, 12, {2, 4}));
+  recordRemapSearchPerf(
+      Reg, measureRemapSearch(denseIntegerRemapCase(64), 12, {2, 4}));
   writeVliwBenchJson(Reg, Rows, /*Cached=*/false);
   return Rows;
 }
 
-std::vector<RemapSearchPerf>
-dra::measureRemapSearch(unsigned RegN, unsigned NumStarts,
-                        const std::vector<unsigned> &ParallelJobs) {
-  EncodingConfig C = vliwConfig(RegN);
-  // Dense seeded graph with small integer weights: every cost and delta
-  // is an exactly representable double, so all arms walk the identical
-  // descent trajectory and the permutations must match bit for bit.
+RemapBenchCase dra::denseIntegerRemapCase(unsigned RegN) {
+  RemapBenchCase Case{vliwConfig(RegN), AdjacencyGraph(RegN), true};
   Rng R(0x5eedbead ^ RegN);
-  AdjacencyGraph G(RegN);
   for (unsigned E = 0; E != RegN * 8; ++E) {
     RegId A = static_cast<RegId>(R.nextBelow(RegN));
     RegId B = static_cast<RegId>(R.nextBelow(RegN));
     if (A != B)
-      G.addWeight(A, B, static_cast<double>(1 + R.nextBelow(9)));
+      Case.G.addWeight(A, B, static_cast<double>(1 + R.nextBelow(9)));
   }
+  return Case;
+}
 
+RemapBenchCase dra::lowEndFractionalRemapCase() {
+  const unsigned RegN = 12;
+  RemapBenchCase Case{lowEndConfig(RegN), AdjacencyGraph(RegN), false};
+  const double Pow10[] = {1, 10, 100};
+  const double Preds[] = {2, 3, 7};
+  Rng R(0x10e4d12);
+  for (unsigned E = 0; E != RegN * 8; ++E) {
+    RegId A = static_cast<RegId>(R.nextBelow(RegN));
+    RegId B = static_cast<RegId>(R.nextBelow(RegN));
+    double K = static_cast<double>(1 + R.nextBelow(9));
+    double W = K * Pow10[R.nextBelow(3)] / Preds[R.nextBelow(3)];
+    if (A != B)
+      Case.G.addWeight(A, B, W);
+  }
+  return Case;
+}
+
+std::vector<RemapSearchPerf>
+dra::measureRemapSearch(const RemapBenchCase &Case, unsigned NumStarts,
+                        const std::vector<unsigned> &ParallelJobs) {
   struct ArmSpec {
     const char *Name;
-    bool Incremental;
-    bool FullRecost;
     unsigned Jobs;
   };
-  std::vector<ArmSpec> Arms = {{"full-recost", false, true, 1},
-                               {"incident", false, false, 1},
-                               {"incremental", true, false, 1}};
+  std::vector<ArmSpec> Arms;
+  if (Case.IntegerWeights)
+    Arms.push_back({"full-recost", 1});
+  Arms.push_back({"incident", 1});
+  Arms.push_back({"incremental", 1});
   for (unsigned J : ParallelJobs)
     if (J > 1)
-      Arms.push_back({"incremental", true, false, J});
+      Arms.push_back({"incremental", J});
 
   std::vector<RemapSearchPerf> Out;
   std::vector<RegId> Reference;
   for (const ArmSpec &A : Arms) {
     RemapOptions O;
     O.NumStarts = NumStarts;
-    O.UseIncremental = A.Incremental;
-    O.FullRecost = A.FullRecost;
     O.Jobs = A.Jobs;
+    std::string Arm = A.Name;
     auto T0 = std::chrono::steady_clock::now();
-    RemapResult RR = findRemap(G, C, O);
+    RemapResult RR =
+        Arm == "incremental"
+            ? findRemap(Case.G, Case.C, O)
+            : findRemapReference(Case.G, Case.C, O,
+                                 Arm == "incident"
+                                     ? RemapReferenceArm::Incident
+                                     : RemapReferenceArm::FullRecost);
     double Sec =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
             .count();
     if (Reference.empty())
       Reference = RR.Perm;
     RemapSearchPerf P;
-    P.Arm = A.Name;
-    P.RegN = RegN;
+    P.Arm = Arm;
+    P.RegN = Case.C.RegN;
     P.Jobs = A.Jobs;
     P.Seconds = Sec;
     P.SwapsEvaluated = static_cast<double>(RR.SwapsEvaluated);

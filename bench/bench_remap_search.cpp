@@ -1,29 +1,34 @@
 //===- bench/bench_remap_search.cpp - Remap search arm comparison ---------===//
 //
 // Microbenchmark and acceptance harness for the incremental/parallel
-// multi-start remap search (core/Remap.cpp). Three modes:
+// multi-start remap search (core/Remap.cpp) against the reference arms of
+// RemapReference.h. Three modes:
 //
-//  * default: times the full-recost, incident-walk, incremental, and
-//    parallel-incremental arms over seeded dense graphs and prints a
-//    swaps/second table (all arms evaluate the identical swap sequence,
-//    so the rate compares pure evaluation throughput);
+//  * default: times the full-recost (integer weights only), incident-walk,
+//    incremental, and parallel-incremental arms on lowEndConfig(12) over a
+//    fractional-weight graph at the default 1000 starts, and on a dense
+//    RegN 64 integer-weight graph, and prints a swaps/second table (all
+//    arms evaluate the identical swap sequence, so the rate compares pure
+//    evaluation throughput);
 //
 //  * --corpus=DIR: compiles every .dra file to physical registers and
 //    checks that the incremental search — at Jobs 1, 2, 4, and 8 — returns
-//    a RemapResult bit-identical to the pre-incremental incident-walk
-//    reference arm, permutation, costs, and stats included. Exits 1 on the
-//    first divergence; runs as the `bench_remap_corpus_identity` ctest;
+//    a RemapResult bit-identical to the incident-walk reference arm,
+//    permutation, costs, and stats included. Exits 1 on the first
+//    divergence; runs as the `bench_remap_corpus_identity` ctest;
 //
-//  * --perf-out=DIR: writes remap_perf_full.json and
-//    remap_perf_incremental.json, each carrying the *same* unlabeled
-//    gauge keys (remap.swaps_evaluated_per_sec, ...) for its arm, so
-//      dra-stats --fail-on=remap.swaps_evaluated_per_sec:-80 \
-//          remap_perf_incremental.json remap_perf_full.json
-//    fails unless the incremental arm is more than 5x the full-recost
-//    baseline on the same machine and run.
+//  * --perf-out=DIR: writes one file per (graph, arm), each carrying the
+//    *same* unlabeled gauge keys (remap.swaps_evaluated_per_sec, ...). With
+//    that key, `dra-stats --fail-on=KEY:-80 remap_perf_incremental.json
+//    remap_perf_full.json` fails unless the incremental arm is more than
+//    5x the full-recost baseline on the RegN 64 graph, and
+//    `dra-stats --fail-on=KEY:-67 remap_perf_lowend_incremental.json
+//    remap_perf_lowend_incident.json` fails unless it is more than 3x the
+//    incident walk on the low-end graph, both on the same machine and run.
 //
 //===----------------------------------------------------------------------===//
 
+#include "RemapReference.h"
 #include "SuiteRunner.h"
 
 #include "core/Remap.h"
@@ -43,11 +48,10 @@ using namespace dra;
 
 namespace {
 
-/// Field-by-field RemapResult comparison. The incremental-only delta
-/// counters are excluded when the reference is a legacy arm (which leaves
-/// them zero by design).
+/// Field-by-field RemapResult comparison. The delta-arc counters are
+/// excluded: the reference arm leaves them zero by design.
 bool sameResult(const RemapResult &A, const RemapResult &B,
-                bool WithDeltaStats, std::string &Why) {
+                std::string &Why) {
   auto Fail = [&](const char *Field) {
     Why = std::string("field ") + Field + " differs";
     return false;
@@ -68,12 +72,6 @@ bool sameResult(const RemapResult &A, const RemapResult &B,
     return Fail("SwapsEvaluated");
   if (A.SwapsApplied != B.SwapsApplied)
     return Fail("SwapsApplied");
-  if (WithDeltaStats) {
-    if (A.DeltaArcsVisited != B.DeltaArcsVisited)
-      return Fail("DeltaArcsVisited");
-    if (A.DeltaRecostSavings != B.DeltaRecostSavings)
-      return Fail("DeltaRecostSavings");
-  }
   return true;
 }
 
@@ -108,11 +106,19 @@ int runCorpusIdentity(const std::string &Dir) {
     allocateGraphColoring(*Parsed, 12);
     EncodingConfig C = lowEndConfig(12);
 
-    RemapOptions Legacy;
-    Legacy.NumStarts = 64;
-    Legacy.UseIncremental = false;
+    // The graph remapFunction builds: the full RegN universe, weighted by
+    // static execution frequency.
+    Function Widened = *Parsed;
+    Widened.NumRegs = C.RegN;
+    Widened.recomputeCFG();
+    AdjacencyGraph G =
+        AdjacencyGraph::build(Widened, C, WeightMode::Frequency);
+    RemapOptions Ref;
+    Ref.NumStarts = 64;
+    RemapResult RL = findRemapReference(G, C, Ref);
     Function FL = *Parsed;
-    RemapResult RL = remapFunction(FL, C, Legacy);
+    applyPermutation(FL, RL.Perm);
+    FL.NumRegs = C.RegN;
 
     for (unsigned Jobs : JobCounts) {
       RemapOptions O;
@@ -121,9 +127,9 @@ int runCorpusIdentity(const std::string &Dir) {
       Function FI = *Parsed;
       RemapResult RI = remapFunction(FI, C, O);
       std::string Why;
-      if (!sameResult(RL, RI, /*WithDeltaStats=*/false, Why)) {
+      if (!sameResult(RL, RI, Why)) {
         std::fprintf(stderr,
-                     "MISMATCH: %s: incremental jobs=%u vs legacy: %s\n",
+                     "MISMATCH: %s: incremental jobs=%u vs reference: %s\n",
                      Path.c_str(), Jobs, Why.c_str());
         return 1;
       }
@@ -161,33 +167,51 @@ bool writePerfFile(const std::string &Path, const RemapSearchPerf &P) {
   return true;
 }
 
+/// Finds arm \p Arm at Jobs 1 in \p Perf.
+const RemapSearchPerf *findArm(const std::vector<RemapSearchPerf> &Perf,
+                               const char *Arm) {
+  for (const RemapSearchPerf &P : Perf)
+    if (P.Arm == Arm && P.Jobs == 1)
+      return &P;
+  return nullptr;
+}
+
 int runPerfOut(const std::string &Dir) {
   namespace fs = std::filesystem;
   std::error_code EC;
   fs::create_directories(Dir, EC);
-  std::vector<RemapSearchPerf> Perf = measureRemapSearch(64, 24, {});
-  const RemapSearchPerf *Full = nullptr, *Incremental = nullptr;
-  for (const RemapSearchPerf &P : Perf) {
-    if (P.Arm == "full-recost")
-      Full = &P;
-    if (P.Arm == "incremental" && P.Jobs == 1)
-      Incremental = &P;
-    if (!P.MatchesReference) {
-      std::fprintf(stderr, "error: arm %s diverged from reference\n",
-                   P.Arm.c_str());
+  struct PerfFile {
+    const char *Name;
+    const std::vector<RemapSearchPerf> *Perf;
+    const char *Arm;
+  };
+  std::vector<RemapSearchPerf> Dense =
+      measureRemapSearch(denseIntegerRemapCase(64), 24, {});
+  std::vector<RemapSearchPerf> LowEnd =
+      measureRemapSearch(lowEndFractionalRemapCase(), 1000, {});
+  const PerfFile Files[] = {
+      {"remap_perf_full.json", &Dense, "full-recost"},
+      {"remap_perf_incremental.json", &Dense, "incremental"},
+      {"remap_perf_lowend_incident.json", &LowEnd, "incident"},
+      {"remap_perf_lowend_incremental.json", &LowEnd, "incremental"}};
+  for (const auto *Perf : {&Dense, &LowEnd})
+    for (const RemapSearchPerf &P : *Perf)
+      if (!P.MatchesReference) {
+        std::fprintf(stderr, "error: arm %s diverged from reference\n",
+                     P.Arm.c_str());
+        return 1;
+      }
+  for (const PerfFile &F : Files) {
+    const RemapSearchPerf *P = findArm(*F.Perf, F.Arm);
+    if (!P || !writePerfFile((fs::path(Dir) / F.Name).string(), *P))
       return 1;
-    }
   }
-  if (!Full || !Incremental)
-    return 1;
-  if (!writePerfFile((fs::path(Dir) / "remap_perf_full.json").string(),
-                     *Full) ||
-      !writePerfFile(
-          (fs::path(Dir) / "remap_perf_incremental.json").string(),
-          *Incremental))
-    return 1;
-  std::printf("incremental/full speedup: %.1fx\n",
-              Incremental->SwapsPerSec / Full->SwapsPerSec);
+  std::printf("incremental/full speedup (RegN 64): %.1fx\n",
+              findArm(Dense, "incremental")->SwapsPerSec /
+                  findArm(Dense, "full-recost")->SwapsPerSec);
+  std::printf("incremental/incident speedup (low-end): %.1fx\n",
+              findArm(LowEnd, "incremental")->SwapsPerSec /
+                  findArm(LowEnd, "incident")->SwapsPerSec);
   return 0;
 }
 
@@ -215,18 +239,23 @@ int main(int Argc, char **Argv) {
 
   std::printf("Remap search arms (multi-start greedy descent; identical "
               "swap sequences, so swaps/s is evaluation throughput)\n");
-  for (unsigned RegN : {32u, 64u}) {
-    std::vector<RemapSearchPerf> Perf = measureRemapSearch(RegN, 24, {2, 4});
-    double Baseline = 0;
+  struct Row {
+    const char *Graph;
+    RemapBenchCase Case;
+    unsigned NumStarts;
+  };
+  const Row Rows[] = {{"low-end frac", lowEndFractionalRemapCase(), 1000},
+                      {"dense int", denseIntegerRemapCase(64), 24}};
+  for (const Row &R : Rows) {
+    std::vector<RemapSearchPerf> Perf =
+        measureRemapSearch(R.Case, R.NumStarts, {2, 4});
+    double Baseline = Perf.front().SwapsPerSec;
     for (const RemapSearchPerf &P : Perf) {
-      if (P.Arm == std::string("full-recost"))
-        Baseline = P.SwapsPerSec;
-      std::printf("  RegN %2u  %-12s jobs %u  %9.0f swaps in %7.3fs  "
+      std::printf("  %-12s RegN %2u  %-12s jobs %u  %9.0f swaps in %7.3fs  "
                   "%12.0f swaps/s  (%5.1fx)  cost %g%s\n",
-                  P.RegN, P.Arm.c_str(), P.Jobs, P.SwapsEvaluated,
-                  P.Seconds, P.SwapsPerSec,
-                  Baseline > 0 ? P.SwapsPerSec / Baseline : 1.0, P.CostAfter,
-                  P.MatchesReference ? "" : "  DIVERGED!");
+                  R.Graph, P.RegN, P.Arm.c_str(), P.Jobs, P.SwapsEvaluated,
+                  P.Seconds, P.SwapsPerSec, P.SwapsPerSec / Baseline,
+                  P.CostAfter, P.MatchesReference ? "" : "  DIVERGED!");
       if (!P.MatchesReference)
         return 1;
     }

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -71,36 +72,6 @@ RemapResult exhaustiveSearch(const AdjacencyGraph &G,
   return Best;
 }
 
-/// Sum of violated-edge weights among the edges incident to node \p U or
-/// node \p V under \p Perm; each edge counted once. The pre-incremental
-/// candidate evaluator: one hash lookup per arc, called twice (before and
-/// after the trial swap) per candidate.
-double incidentCost(const AdjacencyGraph &G, const EncodingConfig &C,
-                    const std::vector<RegId> &Perm, RegId U, RegId V) {
-  double Total = 0;
-  auto Violated = [&](RegId From, RegId To) {
-    RegId FromNo = Perm[From], ToNo = Perm[To];
-    return FromNo != ToNo && !C.encodable(FromNo, ToNo);
-  };
-  G.forEachOut(U, [&](RegId To, double W) {
-    if (Violated(U, To))
-      Total += W;
-  });
-  G.forEachIn(U, [&](RegId From, double W) {
-    if (Violated(From, U))
-      Total += W;
-  });
-  G.forEachOut(V, [&](RegId To, double W) {
-    if (To != U && Violated(V, To))
-      Total += W;
-  });
-  G.forEachIn(V, [&](RegId From, double W) {
-    if (From != U && Violated(From, V))
-      Total += W;
-  });
-  return Total;
-}
-
 /// Per-descent effort, merged into RemapResult by the search driver.
 struct DescentStats {
   size_t Eval = 0;
@@ -108,78 +79,11 @@ struct DescentStats {
   size_t Arcs = 0;
 };
 
-/// One greedy descent from \p Perm evaluating candidates with the legacy
-/// incident-edge walk (UseIncremental = false, FullRecost = false).
-double greedyDescentIncident(const AdjacencyGraph &G,
-                             const EncodingConfig &C,
-                             const std::vector<RegId> &Movable,
-                             std::vector<RegId> &Perm, DescentStats &S) {
-  double Cost = permCost(G, C, Perm);
-  for (;;) {
-    double BestDelta = 0;
-    size_t BestI = 0, BestJ = 0;
-    for (size_t I = 0; I + 1 < Movable.size(); ++I) {
-      for (size_t J = I + 1; J < Movable.size(); ++J) {
-        RegId U = Movable[I], V = Movable[J];
-        ++S.Eval;
-        double Before = incidentCost(G, C, Perm, U, V);
-        std::swap(Perm[U], Perm[V]);
-        double After = incidentCost(G, C, Perm, U, V);
-        std::swap(Perm[U], Perm[V]);
-        double Delta = After - Before;
-        if (Delta < BestDelta) {
-          BestDelta = Delta;
-          BestI = I;
-          BestJ = J;
-        }
-      }
-    }
-    if (BestDelta >= 0)
-      return Cost; // Local minimum.
-    std::swap(Perm[Movable[BestI]], Perm[Movable[BestJ]]);
-    ++S.Applied;
-    Cost += BestDelta;
-  }
-}
-
-/// One greedy descent recosting the whole permutation per candidate: the
-/// O(|E|)-per-candidate measurement baseline (RemapOptions::FullRecost).
-double greedyDescentFullRecost(const AdjacencyGraph &G,
-                               const EncodingConfig &C,
-                               const std::vector<RegId> &Movable,
-                               std::vector<RegId> &Perm, DescentStats &S) {
-  double Cost = permCost(G, C, Perm);
-  for (;;) {
-    double BestDelta = 0;
-    size_t BestI = 0, BestJ = 0;
-    for (size_t I = 0; I + 1 < Movable.size(); ++I) {
-      for (size_t J = I + 1; J < Movable.size(); ++J) {
-        RegId U = Movable[I], V = Movable[J];
-        ++S.Eval;
-        std::swap(Perm[U], Perm[V]);
-        double Delta = permCost(G, C, Perm) - Cost;
-        std::swap(Perm[U], Perm[V]);
-        if (Delta < BestDelta) {
-          BestDelta = Delta;
-          BestI = I;
-          BestJ = J;
-        }
-      }
-    }
-    if (BestDelta >= 0)
-      return Cost;
-    std::swap(Perm[Movable[BestI]], Perm[Movable[BestJ]]);
-    ++S.Applied;
-    Cost += BestDelta;
-  }
-}
-
 /// One greedy descent evaluating candidates against the precomputed cost
 /// model: O(degree(U) + degree(V)) per candidate, no hash lookups. The
 /// permutation's cost is maintained incrementally across applied swaps
-/// exactly as the incident arm maintains it (same deltas, same addition
-/// order), so the trajectory is bit-identical; debug builds cross-check
-/// the running cost against a full recost after every applied swap.
+/// (Cost += best delta); debug builds cross-check the running cost
+/// against a full recost after every applied swap.
 double greedyDescentModel(const AdjacencyGraph &G, const EncodingConfig &C,
                           const RemapCostModel &M,
                           const std::vector<RegId> &Movable,
@@ -215,52 +119,6 @@ double greedyDescentModel(const AdjacencyGraph &G, const EncodingConfig &C,
   }
 }
 
-/// The pre-incremental sequential multi-start search, kept as the
-/// bit-identity reference (UseIncremental = false) and, with FullRecost,
-/// as the benchmark's naive baseline arm.
-RemapResult greedySearchSequential(const AdjacencyGraph &G,
-                                   const EncodingConfig &C,
-                                   const RemapOptions &O) {
-  unsigned N = C.RegN;
-  std::vector<RegId> Movable = movableRegs(C, O);
-
-  std::vector<RegId> Identity(N);
-  for (RegId R = 0; R != N; ++R)
-    Identity[R] = R;
-
-  RemapResult Best;
-  Best.CostBefore = G.identityCost(C);
-  Best.CostAfter = std::numeric_limits<double>::infinity();
-
-  Rng Random(O.Seed);
-  unsigned Starts = std::max(1u, O.NumStarts);
-  for (unsigned Start = 0; Start != Starts; ++Start) {
-    std::vector<RegId> Perm = Identity;
-    if (Start != 0) {
-      // Random initial register vector over the movable slots.
-      std::vector<RegId> Targets = Movable;
-      Random.shuffle(Targets);
-      for (size_t I = 0; I != Movable.size(); ++I)
-        Perm[Movable[I]] = Targets[I];
-    }
-    ++Best.StartsRun;
-    DescentStats S;
-    double Cost = O.FullRecost
-                      ? greedyDescentFullRecost(G, C, Movable, Perm, S)
-                      : greedyDescentIncident(G, C, Movable, Perm, S);
-    Best.SwapsEvaluated += S.Eval;
-    Best.SwapsApplied += S.Applied;
-    if (Cost < Best.CostAfter) {
-      Best.CostAfter = Cost;
-      Best.Perm = std::move(Perm);
-    }
-    if (Best.CostAfter == 0)
-      break; // Cannot improve further.
-  }
-  Best.StartsCutOff = Starts - Best.StartsRun;
-  return Best;
-}
-
 /// Maps a non-NaN double to an unsigned key with the same total order, so
 /// the shared best-cost bound can be a lock-free CAS-min on uint64_t.
 uint64_t orderedCostBits(double D) {
@@ -269,15 +127,16 @@ uint64_t orderedCostBits(double D) {
   return (B & (1ull << 63)) ? ~B : B | (1ull << 63);
 }
 
-/// The incremental multi-start search, optionally sharded over a thread
-/// pool. Bit-identical to greedySearchSequential(UseIncremental=false) at
-/// any Jobs value:
+/// The multi-start greedy search, optionally sharded over a thread pool.
+/// Bit-identical to a sequential loop over the starts (draw the next
+/// restart vector, descend, keep it if strictly cheaper, stop at cost
+/// zero) at any Jobs value:
 ///
 ///  * every restart vector is drawn up front on the calling thread from
 ///    the one sequential Rng stream, so start k sees the same initial
 ///    permutation regardless of scheduling;
-///  * descents are per-start deterministic and their deltas replicate the
-///    incident-arm arithmetic exactly (see RemapCostModel);
+///  * descents are per-start deterministic (see RemapCostModel for why
+///    each delta is exact to the bit);
 ///  * the only deterministic early cutoff is a provable global minimum —
 ///    a start finishing at cost zero — tracked as the minimum zero-cost
 ///    start index: StartsRun = FirstZero + 1 matches the sequential break,
@@ -289,9 +148,8 @@ uint64_t orderedCostBits(double D) {
 ///    (cost, start-index) and drops its vector immediately;
 ///  * the winner is the lowest-cost start, earliest index on ties —
 ///    exactly the sequential update rule `Cost < Best.CostAfter`.
-RemapResult greedySearchIncremental(const AdjacencyGraph &G,
-                                    const EncodingConfig &C,
-                                    const RemapOptions &O) {
+RemapResult greedySearch(const AdjacencyGraph &G, const EncodingConfig &C,
+                         const RemapOptions &O) {
   unsigned N = C.RegN;
   std::vector<RegId> Movable = movableRegs(C, O);
 
@@ -415,66 +273,75 @@ RemapResult greedySearchIncremental(const AdjacencyGraph &G,
 
 RemapCostModel::RemapCostModel(const AdjacencyGraph &G,
                                const EncodingConfig &C)
-    : RegN(C.RegN), Rows(C.RegN), ViolatedDiff(C.RegN, 0) {
-  // Condition (3) as a table over the modular difference: diff 0 is a
-  // self-transition (always encodable) and DiffN >= 1, so "violated" is
-  // exactly diff >= DiffN.
-  for (unsigned D = 0; D != C.RegN; ++D)
-    ViolatedDiff[D] = D >= C.DiffN ? 1 : 0;
+    : RegN(C.RegN), Rows(C.RegN, Row{0, 0, 0}), Viol(2 * C.RegN, 0.0) {
+  // Condition (3) over every signed difference to - from, stored at
+  // to - from + RegN: diff 0 is a self-transition (always encodable) and
+  // DiffN >= 1, so "violated" is exactly (to - from) mod RegN >= DiffN.
+  for (unsigned D = 0; D != 2 * RegN; ++D)
+    Viol[D] = D % RegN >= C.DiffN;
 
-  uint32_t Nodes = std::min<uint32_t>(G.numNodes(), C.RegN);
-  for (RegId R = 0; R != Nodes; ++R) {
-    G.forEachOut(R, [&](RegId To, double W) {
-      Rows[R].push_back({To, W, true});
-      ++NumArcs;
-    });
-    G.forEachIn(R, [&](RegId From, double W) {
-      Rows[R].push_back({From, W, false});
-    });
+  auto Push = [&](RegId O, double Weight) {
+    // The precondition of the masked accumulation (see the class comment).
+    assert(std::isfinite(Weight) && Weight >= 0 &&
+           "remap cost model needs finite non-negative weights");
+    Other.push_back(O);
+    W.push_back(Weight);
+  };
+  uint32_t Nodes = std::min<uint32_t>(G.numNodes(), RegN);
+  for (RegId R = 0; R != RegN; ++R) {
+    Row &Rw = Rows[R];
+    Rw.Begin = static_cast<uint32_t>(Other.size());
+    if (R < Nodes)
+      G.forEachOut(R, Push);
+    Rw.Mid = static_cast<uint32_t>(Other.size());
+    if (R < Nodes)
+      G.forEachIn(R, Push);
+    Rw.End = static_cast<uint32_t>(Other.size());
+    NumArcs += Rw.Mid - Rw.Begin;
   }
 }
 
 double RemapCostModel::swapDelta(const std::vector<RegId> &Perm, RegId U,
                                  RegId V) const {
   double Before = 0, After = 0;
-  RegId PU = Perm[U], PV = Perm[V];
+  const RegId *P = Perm.data();
+  const RegId *Oth = Other.data();
+  const double *Wt = W.data();
+  // Mask[To - From]: 1.0 when From -> To violates condition (3).
+  const double *Mask = Viol.data() + RegN;
+  const ptrdiff_t PU = P[U], PV = P[V];
+  const Row RU = Rows[U], RV = Rows[V];
   // Row U: arcs anchored at U, whose number changes PU -> PV. The far
-  // endpoint keeps its number unless it is V (the shared edge). Self
-  // edges are never stored, so Other != U here and Other != V below;
-  // the accumulation order — row U out, row U in, row V out, row V in —
-  // mirrors incidentCost's two passes addition for addition, which keeps
-  // Before, After, and the returned delta bit-identical to that arm.
-  for (const Arc &A : Rows[U]) {
-    RegId O = Perm[A.Other];
-    RegId OS = A.Other == V ? PU : O;
-    if (A.IsOut) {
-      if (violated(PU, O))
-        Before += A.W;
-      if (violated(PV, OS))
-        After += A.W;
-    } else {
-      if (violated(O, PU))
-        Before += A.W;
-      if (violated(OS, PV))
-        After += A.W;
-    }
+  // endpoint keeps its number unless it is V (the shared edge), which
+  // takes PU. Self edges are never stored, so Other != U here and
+  // Other != V below.
+  for (uint32_t I = RU.Begin; I != RU.Mid; ++I) {
+    ptrdiff_t O = P[Oth[I]];
+    ptrdiff_t OS = Oth[I] == V ? PU : O;
+    Before += Wt[I] * Mask[O - PU];
+    After += Wt[I] * Mask[OS - PV];
   }
-  // Row V, skipping the shared edge already counted under row U.
-  for (const Arc &A : Rows[V]) {
-    if (A.Other == U)
+  for (uint32_t I = RU.Mid; I != RU.End; ++I) {
+    ptrdiff_t O = P[Oth[I]];
+    ptrdiff_t OS = Oth[I] == V ? PU : O;
+    Before += Wt[I] * Mask[PU - O];
+    After += Wt[I] * Mask[PV - OS];
+  }
+  // Row V, skipping the shared edge already counted under row U (at most
+  // one arc per direction, so the test is almost always not-taken).
+  for (uint32_t I = RV.Begin; I != RV.Mid; ++I) {
+    if (Oth[I] == U)
       continue;
-    RegId O = Perm[A.Other];
-    if (A.IsOut) {
-      if (violated(PV, O))
-        Before += A.W;
-      if (violated(PU, O))
-        After += A.W;
-    } else {
-      if (violated(O, PV))
-        Before += A.W;
-      if (violated(O, PU))
-        After += A.W;
-    }
+    ptrdiff_t O = P[Oth[I]];
+    Before += Wt[I] * Mask[O - PV];
+    After += Wt[I] * Mask[O - PU];
+  }
+  for (uint32_t I = RV.Mid; I != RV.End; ++I) {
+    if (Oth[I] == U)
+      continue;
+    ptrdiff_t O = P[Oth[I]];
+    Before += Wt[I] * Mask[PV - O];
+    After += Wt[I] * Mask[PU - O];
   }
   return After - Before;
 }
@@ -488,10 +355,8 @@ RemapResult dra::findRemap(const AdjacencyGraph &G, const EncodingConfig &C,
   RemapResult Result;
   if (MovableCount <= O.ExhaustiveLimit)
     Result = exhaustiveSearch(G, C, O);
-  else if (O.UseIncremental)
-    Result = greedySearchIncremental(G, C, O);
   else
-    Result = greedySearchSequential(G, C, O);
+    Result = greedySearch(G, C, O);
   // Never accept a permutation worse than the identity.
   if (Result.CostAfter > Result.CostBefore) {
     Result.CostAfter = Result.CostBefore;

@@ -19,9 +19,10 @@
 ///    register vectors (the paper uses 1000).
 ///
 /// The greedy search evaluates candidate swaps incrementally against a
-/// `RemapCostModel` — per-register adjacency arc rows precomputed once per
-/// graph, so one candidate costs O(degree(a) + degree(b)) instead of a
-/// full recost — and can shard its restarts across a thread pool
+/// `RemapCostModel` — flat per-register adjacency arc rows and a 0/1
+/// violation mask precomputed once per graph, so one candidate costs a
+/// branch-free O(degree(a) + degree(b)) sum instead of a full recost — and
+/// can shard its restarts across a thread pool
 /// (`RemapOptions::Jobs`). Restart vectors are drawn up front from the
 /// single sequential seed stream and the winner is reduced in
 /// (cost, start-index) order, so the result is bit-identical to the
@@ -62,17 +63,8 @@ struct RemapOptions {
   /// calling thread. The result is bit-identical at any value (restart
   /// vectors come from the one sequential seed stream and the winner is
   /// reduced by (cost, start-index)), so this is purely a wall-clock
-  /// knob. Ignored by the exhaustive and legacy arms.
+  /// knob. Ignored by the exhaustive arm.
   unsigned Jobs = 1;
-  /// Evaluate candidate swaps against the precomputed RemapCostModel arc
-  /// rows (the default). Off selects the pre-incremental arm that walks
-  /// the adjacency graph's hash map per candidate — kept as the
-  /// bit-identity reference and as a benchmark baseline.
-  bool UseIncremental = true;
-  /// Measurement-only, honored when UseIncremental is false: recost the
-  /// whole permutation for every candidate swap — the O(|E|)-per-candidate
-  /// baseline `bench_remap_search` compares the incremental arm against.
-  bool FullRecost = false;
 };
 
 /// Remapping outcome.
@@ -96,7 +88,7 @@ struct RemapResult {
   /// Restarts never run because a lower-indexed start already reached the
   /// provable minimum (cost zero): NumStarts - StartsRun.
   unsigned StartsCutOff = 0;
-  /// Incremental arm only: adjacency arcs actually summed while
+  /// Greedy search only: adjacency arcs actually summed while
   /// evaluating swap candidates, and the arc-visit count a full recost of
   /// every candidate would have needed instead (the delta-recost saving).
   size_t DeltaArcsVisited = 0;
@@ -104,14 +96,31 @@ struct RemapResult {
 };
 
 /// Precomputed per-register view of an AdjacencyGraph for O(degree) swap
-/// evaluation: for each register, the arcs it anchors (outgoing then
-/// incoming, in the graph's neighbor order) with their weights resolved,
-/// plus a table of which modular differences violate condition (3).
+/// evaluation with no data-dependent branch in the accumulation.
 ///
-/// `swapDelta` reproduces the incident-edge walk of the pre-incremental
-/// search arm addition for addition, so its deltas — and therefore every
-/// descent trajectory — are bit-identical to that arm's. Instances are
-/// immutable after construction and safe to share across search threads.
+/// Layout: flat CSR rows — one `Other[]` and one `W[]` array over every
+/// register's anchored arcs, outgoing arcs before incoming ones, each in
+/// the graph's neighbor order — with begin/mid/end offsets per register,
+/// plus a mask over the signed number difference to - from, holding 1.0
+/// where the transition violates condition (3) and 0.0 where it does not
+/// (2 * RegN doubles: the same entries as a RegN x RegN from/to table,
+/// without its RegN^2 memory for a request's large RegN). A candidate's
+/// terms are then `W[i] * Mask[to - from]` summed unconditionally. The
+/// modular-difference test is true about half the time, so a branch per
+/// arc mispredicted on most of them: on Frequency graphs of ProgramGen
+/// functions at lowEndConfig(12), about 37 arc terms per candidate, a
+/// candidate took about 590 ns branchy and 58-89 ns masked (one core of a
+/// 4-vCPU Xeon VM).
+///
+/// Exactness: weights are finite and >= 0 (asserted in debug builds), so
+/// `W * 1.0 == W` and `W * 0.0 == +0.0`; the running sums start at +0.0
+/// and never become -0.0, so adding a masked-out term leaves them
+/// unchanged, and an FMA-contracted `s + W * m` rounds identically. Every
+/// Before/After partial sum is therefore the same sequence of roundings as
+/// the branchy incident-edge walk — row U out, row U in, row V out, row V
+/// in — and every delta, and hence every descent trajectory, is
+/// bit-identical to it. Instances are immutable after construction and
+/// safe to share across search threads.
 class RemapCostModel {
 public:
   RemapCostModel(const AdjacencyGraph &G, const EncodingConfig &C);
@@ -123,28 +132,25 @@ public:
 
   /// Arc terms one swapDelta(_, U, V) call sums (row sizes).
   size_t deltaArcs(RegId U, RegId V) const {
-    return Rows[U].size() + Rows[V].size();
+    return Rows[U].End - Rows[U].Begin + Rows[V].End - Rows[V].Begin;
   }
 
   /// Directed arcs in the graph: the term count of one full recost.
   size_t arcCount() const { return NumArcs; }
 
 private:
-  struct Arc {
-    RegId Other; ///< The endpoint that is not the row's register.
-    double W;    ///< Edge weight.
-    bool IsOut;  ///< True: row register -> Other; false: the reverse.
+  /// Register R's arcs: [Begin, Mid) outgoing (R -> Other), [Mid, End)
+  /// incoming (Other -> R).
+  struct Row {
+    uint32_t Begin, Mid, End;
   };
-
-  bool violated(RegId FromNo, RegId ToNo) const {
-    unsigned D = ToNo >= FromNo ? ToNo - FromNo : ToNo + RegN - FromNo;
-    return ViolatedDiff[D] != 0;
-  }
 
   unsigned RegN = 0;
   size_t NumArcs = 0;
-  std::vector<std::vector<Arc>> Rows; ///< Per-register [out..., in...].
-  std::vector<uint8_t> ViolatedDiff;  ///< Indexed by modular difference.
+  std::vector<Row> Rows;
+  std::vector<RegId> Other;  ///< The endpoint that is not the row's register.
+  std::vector<double> W;     ///< Edge weight, parallel to Other.
+  std::vector<double> Viol;  ///< [to - from + RegN]: 1.0 if violated.
 };
 
 /// Finds a cost-minimizing permutation for the register-level adjacency
