@@ -5,22 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Shared drivers for the paper-reproduction benchmarks. Each bench binary
-/// regenerates one table/figure; the underlying experiment (all five
-/// pipelines over the ten MiBench-like programs, or the 1928-loop VLIW
-/// sweep) is identical across binaries, so it lives here.
+/// Shared drivers for the paper-reproduction benchmarks. bench_lowend
+/// prints Figures 11-14 from one low-end experiment (all five pipelines
+/// over the ten MiBench-like programs) and bench_vliw prints Tables 2-3
+/// from one VLIW sweep (the 1928-loop corpus); each computes its
+/// experiment once per run, fresh.
 ///
-/// Besides the human-readable tables each binary prints, every suite run
-/// also writes a machine-readable metrics snapshot — BENCH_lowend.json /
-/// BENCH_vliw.json in the working directory — in the dra-metrics-v1 schema
-/// (driver/Metrics.h), consumable by tools/dra-stats. Suite-level result
-/// gauges (suite.* / vliw.*) are written even when the on-disk result
-/// cache is hit; the allocator-deep counters and stage timing histograms
-/// require a fresh (uncached) run. Which of the two a snapshot is can be
-/// read off the snapshot itself: every BENCH_*.json carries a
-/// `cache.provenance` gauge — 0 when the experiment was computed fresh
-/// (deep counters present), 1 when it was replayed from the on-disk
-/// result cache (suite-level gauges only).
+/// Besides the human-readable tables, every suite run also writes a
+/// machine-readable metrics snapshot — BENCH_lowend.json / BENCH_vliw.json
+/// in the working directory — in the dra-metrics-v1 schema
+/// (driver/Metrics.h), consumable by tools/dra-stats: the suite-level
+/// result gauges (suite.* / vliw.*) plus the allocator-deep counters and
+/// stage timing histograms of that run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +26,6 @@
 #include "core/AdjacencyGraph.h"
 #include "core/Pipeline.h"
 #include "driver/Metrics.h"
-#include "driver/Telemetry.h"
 
 #include <map>
 #include <string>
@@ -72,13 +67,9 @@ const std::vector<Scheme> &allSchemes();
 /// Runs the complete low-end experiment (Section 10.1): ten programs,
 /// five pipelines, pipeline simulation. \p RemapStarts trades experiment
 /// fidelity for time (the paper uses 1000 restarts). The programs×schemes
-/// grid is compiled through the parallel BatchCompiler on \p Jobs workers
-/// (0 = hardware concurrency, 1 = serial); results are deterministic and
-/// independent of the worker count. \p Telem, when non-null, receives
-/// per-stage spans and batch counters.
-std::vector<ProgramMetrics> runLowEndSuite(unsigned RemapStarts = 200,
-                                           unsigned Jobs = 0,
-                                           Telemetry *Telem = nullptr);
+/// grid is compiled through the parallel BatchCompiler on every hardware
+/// thread; results are deterministic and independent of the worker count.
+std::vector<ProgramMetrics> runLowEndSuite(unsigned RemapStarts = 200);
 
 /// One row of the VLIW evaluation (Tables 2 and 3) for a given RegN.
 struct VliwRow {
@@ -99,12 +90,9 @@ struct VliwRow {
 /// applying differential encoding only to loops that need more than 32
 /// registers (Section 8.2 selective enabling). \p LoopCount trims the
 /// corpus for quick runs (0 = the paper's 1928). Loops are scheduled
-/// across \p Jobs pool workers (0 = hardware concurrency, 1 = serial);
-/// per-loop results are reduced in index order, so every row is
-/// bit-identical to the serial run. \p Telem, when non-null, receives one
-/// "swp" span per (loop, RegN) schedule.
-std::vector<VliwRow> runVliwSuite(unsigned LoopCount = 0, unsigned Jobs = 0,
-                                  Telemetry *Telem = nullptr);
+/// across every hardware thread; per-loop results are reduced in index
+/// order, so every row is bit-identical to a serial run.
+std::vector<VliwRow> runVliwSuite(unsigned LoopCount = 0);
 
 /// One measured arm of the remap-search microbenchmark
 /// (bench_remap_search; also folded into BENCH_vliw.json by the VLIW

@@ -12,11 +12,11 @@ BatchCompiler::BatchCompiler(const BatchOptions &O) : Opts(O), Pool(O.Jobs) {}
 
 namespace {
 
-/// Records the telemetry of one finished task: the enclosing "task" span,
-/// one "stage" span per pipeline stage (Depth-0), one "substage" span per
-/// nested algorithm round (Depth > 0), and the batch counters. Substages
-/// keep their own category so Telemetry::stageStats("stage") still
-/// aggregates top-level stages only.
+/// Records the spans of one finished task: the enclosing "task" span, one
+/// "stage" span per pipeline stage (Depth-0) and one "substage" span per
+/// nested algorithm round (Depth > 0). Substages keep their own category
+/// so Telemetry::stageStats("stage") still aggregates top-level stages
+/// only. Per-task counters are flushed through PipelineConfig::Metrics.
 void recordTask(Telemetry &T, const Function &Src, size_t Index,
                 const PipelineResult &R, uint64_t TaskBeginNs,
                 uint64_t TaskEndNs) {
@@ -44,18 +44,6 @@ void recordTask(Telemetry &T, const Function &Src, size_t Index,
     E.Tid = Tid;
     T.recordSpan(std::move(E));
   }
-
-  T.addCounter("functions", 1);
-  T.addCounter("insts", static_cast<double>(R.NumInsts));
-  T.addCounter("spill_insts", static_cast<double>(R.SpillInsts));
-  T.addCounter("set_last_regs", static_cast<double>(R.SetLastRegs));
-  T.addCounter("code_bytes", static_cast<double>(R.CodeBytes));
-  T.addCounter("alloc_iterations", static_cast<double>(R.Alloc.Iterations));
-  T.addCounter("ospill_rounds", static_cast<double>(R.OSpill.Rounds));
-  T.addCounter("coalesce_steps", static_cast<double>(R.Coalesce.Steps));
-  T.addCounter("encode_fields", static_cast<double>(R.Enc.NumFields));
-  if (R.AdaptiveFellBack)
-    T.addCounter("adaptive_fallbacks", 1);
 }
 
 } // namespace
@@ -79,11 +67,11 @@ BatchCompiler::run(const std::vector<Function> &Functions,
       C.Remap.Seed = Rng::taskSeed(C.Remap.Seed, I);
     if (Opts.Cache)
       C.Cache = Opts.Cache;
-    uint64_t Begin = Telemetry::steadyNowNs();
+    uint64_t Begin = steadyClockNs();
     Results[I] = runPipeline(Functions[I], C);
     if (Opts.Telem)
       recordTask(*Opts.Telem, Functions[I], I, Results[I], Begin,
-                 Telemetry::steadyNowNs());
+                 steadyClockNs());
   });
   return Results;
 }

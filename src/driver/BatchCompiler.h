@@ -16,7 +16,7 @@
 ///  * **Telemetry.** When a Telemetry sink is attached, each task records
 ///    one "task" span plus one span per pipeline stage (rebased from the
 ///    PipelineResult's steady-clock stamps), tagged with the pool worker
-///    id, and bumps the shared batch counters race-free.
+///    id. Counters go to PipelineConfig::Metrics instead.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +34,7 @@ namespace dra {
 struct BatchOptions {
   /// Worker threads; 0 = ThreadPool::defaultWorkerCount().
   unsigned Jobs = 0;
-  /// Optional telemetry sink, shared by all tasks.
+  /// Optional span timeline, shared by all tasks.
   Telemetry *Telem = nullptr;
   /// Reseed each task's remapping RNG from (Config.Remap.Seed, index) via
   /// Rng::taskSeed, decorrelating the restart streams across the batch.

@@ -101,7 +101,7 @@ std::string jsonEscape(const std::string &S);
 /// 2^53 double-exact range) as plain integers, everything else with
 /// round-trip (max_digits10) precision. Non-finite values, which JSON
 /// cannot represent, are clamped to 0. Shared by the metrics writer and
-/// Telemetry's JSON exporters so large counters never round-trip lossily.
+/// ChromeTraceWriter so large values never round-trip lossily.
 void writeJsonNumber(std::ostream &OS, double V);
 
 /// A set of (key, value) pairs identifying one time series. Keys are kept

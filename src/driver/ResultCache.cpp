@@ -2,7 +2,6 @@
 
 #include "driver/ResultCache.h"
 
-#include "driver/Telemetry.h"
 #include "driver/Trace.h"
 
 #include <algorithm>
@@ -605,14 +604,14 @@ bool ResultCache::lookup(const Function &Src, const PipelineConfig &C,
 bool ResultCache::lookupTiered(const Function &Src, const PipelineConfig &C,
                                PipelineResult &Out, const char **Tier) {
   uint64_t Key = cacheKey(Src, C);
-  uint64_t Begin = (Metrics || C.Trace) ? Telemetry::steadyNowNs() : 0;
+  uint64_t Begin = (Metrics || C.Trace) ? steadyClockNs() : 0;
 
   // Request-scoped trace: one span per probe, named by its outcome, so a
   // traced request shows *which* tier answered (or that nothing did).
   auto TraceProbe = [&](const char *Outcome) {
     if (C.Trace)
       C.Trace->record(std::string("cache.") + Outcome, Begin,
-                      Telemetry::steadyNowNs(), /*Depth=*/2);
+                      steadyClockNs(), /*Depth=*/2);
   };
 
   std::string Payload;
@@ -658,7 +657,7 @@ bool ResultCache::lookupTiered(const Function &Src, const PipelineConfig &C,
   if (Metrics)
     Metrics->observe(
         "cache.hit_us",
-        static_cast<double>(Telemetry::steadyNowNs() - Begin) / 1000.0,
+        static_cast<double>(steadyClockNs() - Begin) / 1000.0,
         {{"tier", FromDisk ? "disk" : "mem"}});
   return true;
 }

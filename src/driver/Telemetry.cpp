@@ -1,8 +1,6 @@
-//===- driver/Telemetry.cpp - Per-stage timing & counters -----------------===//
+//===- driver/Telemetry.cpp - Batch span timeline -------------------------===//
 
 #include "driver/Telemetry.h"
-
-#include "driver/Trace.h"
 
 #include <algorithm>
 
@@ -10,9 +8,9 @@ using namespace dra;
 
 uint64_t Telemetry::steadyNowNs() { return steadyClockNs(); }
 
-Telemetry::Telemetry() : OriginNs(steadyNowNs()) {}
+Telemetry::Telemetry() : OriginNs(steadyClockNs()) {}
 
-uint64_t Telemetry::nowUs() const { return toRelativeUs(steadyNowNs()); }
+uint64_t Telemetry::nowUs() const { return toRelativeUs(steadyClockNs()); }
 
 uint64_t Telemetry::toRelativeUs(uint64_t SteadyNs) const {
   return SteadyNs <= OriginNs ? 0 : (SteadyNs - OriginNs) / 1000;
@@ -30,19 +28,9 @@ void Telemetry::setProcessName(std::string Name) {
   ProcessName = std::move(Name);
 }
 
-void Telemetry::addCounter(const std::string &Name, double Delta) {
-  std::lock_guard<std::mutex> Lock(Mtx);
-  Counters[Name] += Delta;
-}
-
 std::vector<TraceSpan> Telemetry::events() const {
   std::lock_guard<std::mutex> Lock(Mtx);
   return Events;
-}
-
-std::map<std::string, double> Telemetry::counters() const {
-  std::lock_guard<std::mutex> Lock(Mtx);
-  return Counters;
 }
 
 std::map<std::string, Telemetry::StageStats>
@@ -65,33 +53,6 @@ Telemetry::stageStats(const char *Category) const {
   return Stats;
 }
 
-void Telemetry::writeJson(std::ostream &OS) const {
-  OS << "{\n  \"counters\": {";
-  bool First = true;
-  for (const auto &[Name, Value] : counters()) {
-    // writeJsonNumber, not operator<<: default stream precision (6
-    // significant digits) silently rounds counters past ~1e6.
-    OS << (First ? "" : ",") << "\n    \"" << jsonEscape(Name) << "\": ";
-    writeJsonNumber(OS, Value);
-    First = false;
-  }
-  OS << "\n  },\n  \"stages\": {";
-  First = true;
-  for (const auto &[Name, S] : stageStats()) {
-    double Mean = S.Count == 0
-                      ? 0.0
-                      : static_cast<double>(S.TotalUs) /
-                            static_cast<double>(S.Count);
-    OS << (First ? "" : ",") << "\n    \"" << jsonEscape(Name)
-       << "\": {\"count\": " << S.Count << ", \"total_us\": " << S.TotalUs
-       << ", \"mean_us\": ";
-    writeJsonNumber(OS, Mean);
-    OS << ", \"min_us\": " << S.MinUs << ", \"max_us\": " << S.MaxUs << "}";
-    First = false;
-  }
-  OS << "\n  }\n}\n";
-}
-
 void Telemetry::writeChromeTrace(std::ostream &OS) const {
   const uint64_t Pid = osProcessId();
   std::vector<TraceSpan> Evs = events();
@@ -100,38 +61,19 @@ void Telemetry::writeChromeTrace(std::ostream &OS) const {
     std::lock_guard<std::mutex> Lock(Mtx);
     PName = ProcessName;
   }
-  OS << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
   // Metadata first: the real process, and one named row per OS thread
   // (displayed as its pool worker id). Real pids/tids keep merged
   // multi-process traces from collapsing onto one synthetic row.
-  OS << "\n  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": " << Pid
-     << ", \"tid\": 0, \"args\": {\"name\": \"" << jsonEscape(PName)
-     << "\"}}";
+  ChromeTraceWriter W(OS);
+  W.processName(Pid, PName);
   std::map<uint64_t, unsigned> TidWorkers;
   for (const TraceSpan &E : Evs)
     TidWorkers.emplace(E.OsTid ? E.OsTid : E.Tid, E.Tid);
   for (const auto &[Tid, Worker] : TidWorkers)
-    OS << ",\n  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": " << Pid
-       << ", \"tid\": " << Tid << ", \"args\": {\"name\": \"worker-"
-       << Worker << "\"}}";
-  for (const TraceSpan &E : Evs) {
-    OS << ",\n";
-    OS << "  {\"name\": \"" << jsonEscape(E.Name) << "\", \"cat\": \""
-       << jsonEscape(E.Category ? E.Category : "span")
-       << "\", \"ph\": \"X\", \"pid\": " << Pid
-       << ", \"tid\": " << (E.OsTid ? E.OsTid : E.Tid)
-       << ", \"ts\": " << E.BeginUs << ", \"dur\": " << E.DurUs;
-    if (!E.Args.empty()) {
-      OS << ", \"args\": {";
-      bool FirstArg = true;
-      for (const auto &[Key, Value] : E.Args) {
-        OS << (FirstArg ? "" : ", ") << "\"" << jsonEscape(Key) << "\": ";
-        writeJsonNumber(OS, Value);
-        FirstArg = false;
-      }
-      OS << "}";
-    }
-    OS << "}";
-  }
-  OS << "\n]}\n";
+    W.threadName(Pid, Tid, "worker-" + std::to_string(Worker));
+  for (const TraceSpan &E : Evs)
+    W.completeEvent(Pid, E.OsTid ? E.OsTid : E.Tid, E.Name,
+                    E.Category ? E.Category : "span", double(E.BeginUs),
+                    double(E.DurUs), E.Args);
+  W.finish();
 }

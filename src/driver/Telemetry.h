@@ -1,41 +1,38 @@
-//===- driver/Telemetry.h - Per-stage timing & counters ---------*- C++ -*-===//
+//===- driver/Telemetry.h - Batch span timeline -----------------*- C++ -*-===//
 //
 // Part of the differential-register-allocation reproduction library.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Thread-safe collection of wall-clock spans and named counters for the
-/// batch-compilation driver. Combinatorial allocation pipelines are
-/// compile-time-heavy and heterogeneous (a few functions dominate), so
-/// every scaling experiment needs to see *where* the time goes, per stage
-/// and per function, not just end-to-end totals.
+/// Thread-safe timeline of wall-clock spans for the batch-compilation
+/// driver. Combinatorial allocation pipelines are compile-time-heavy and
+/// heterogeneous (a few functions dominate), so every scaling experiment
+/// needs to see *where* the time goes, per stage and per function, not
+/// just end-to-end totals.
 ///
-/// Two export formats:
+/// Counters live in MetricsRegistry (driver/Metrics.h, `--metrics-out`);
+/// this class only keeps spans. `stageStats` aggregates them for the
+/// batch tools' stage table, and `writeChromeTrace` exports them through
+/// ChromeTraceWriter (driver/Trace.h) in the Chrome `trace_event` format,
+/// loadable in `chrome://tracing` or https://ui.perfetto.dev.
 ///
-///  * `writeJson` — an aggregate report: every counter, plus per-stage
-///    span statistics (count, total/mean/min/max microseconds).
-///  * `writeChromeTrace` — the Chrome `trace_event` format (an array of
-///    phase-"X" complete events keyed by tid = pool worker), loadable in
-///    `chrome://tracing` or https://ui.perfetto.dev.
-///
-/// All mutation is mutex-protected; spans and counters may be recorded
-/// concurrently from every pool worker. Timestamps are microseconds
-/// relative to the Telemetry object's construction (steady clock).
+/// All mutation is mutex-protected; spans may be recorded concurrently
+/// from every pool worker. Timestamps are microseconds relative to the
+/// Telemetry object's construction (steady clock).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DRA_DRIVER_TELEMETRY_H
 #define DRA_DRIVER_TELEMETRY_H
 
-#include "driver/Metrics.h"
+#include "driver/Trace.h"
 
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <ostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace dra {
@@ -52,9 +49,9 @@ struct TraceSpan {
   /// multi-process trace never collapses two workers onto one row; the
   /// pool worker id stays the display name.
   uint64_t OsTid = 0;
-  /// Free-form numeric annotations, shown in the trace viewer's detail
-  /// pane (e.g. spills, set_last_regs for a task span).
-  std::vector<std::pair<std::string, double>> Args;
+  /// Annotations shown in the trace viewer's detail pane (e.g. spills,
+  /// set_last_regs for a task span).
+  std::vector<TraceArg> Args;
 };
 
 class Telemetry {
@@ -69,18 +66,14 @@ public:
   /// Clamps to 0 for stamps predating construction.
   uint64_t toRelativeUs(uint64_t SteadyNs) const;
 
-  /// Absolute steady-clock nanoseconds; the same clock core/Pipeline uses
-  /// for its stage spans.
+  /// steadyClockNs() under its historical name, kept for callers that
+  /// only include this header.
   static uint64_t steadyNowNs();
 
   void recordSpan(TraceSpan E);
 
-  /// Atomically adds \p Delta to counter \p Name (creating it at 0).
-  void addCounter(const std::string &Name, double Delta);
-
-  /// Snapshot accessors (copy under the lock; cheap at report time).
+  /// Snapshot of every recorded span (copied under the lock).
   std::vector<TraceSpan> events() const;
-  std::map<std::string, double> counters() const;
 
   /// Aggregate of all spans sharing one name.
   struct StageStats {
@@ -94,27 +87,21 @@ public:
   std::map<std::string, StageStats>
   stageStats(const char *Category = nullptr) const;
 
-  /// Writes the aggregate JSON report.
-  void writeJson(std::ostream &OS) const;
-
   /// Sets the `process_name` metadata of the Chrome export (default
   /// "dra"); tools pass their own name so merged traces label processes.
   void setProcessName(std::string Name);
 
-  /// Writes Chrome trace-event JSON: one complete ("ph":"X") event per
-  /// recorded span, preceded by `process_name`/`thread_name` ("M")
-  /// metadata events. Events carry the real pid and OS tids.
+  /// Writes Chrome trace-event JSON: `process_name`/`thread_name` ("M")
+  /// metadata, then one complete ("ph":"X") event per recorded span.
+  /// Events carry the real pid and OS tids.
   void writeChromeTrace(std::ostream &OS) const;
 
 private:
   uint64_t OriginNs = 0;
   mutable std::mutex Mtx;
   std::vector<TraceSpan> Events;
-  std::map<std::string, double> Counters;
   std::string ProcessName = "dra";
 };
-
-// jsonEscape lives in driver/Metrics.h (shared with the metrics writer).
 
 } // namespace dra
 

@@ -65,7 +65,7 @@ void TraceContext::recordOn(uint64_t Tid, std::string Name, uint64_t BeginNs,
     Dropped.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  Records.push_back({std::move(Name), BeginNs, EndNs, Depth, Tid});
+  Records.push_back({std::move(Name), Tid, Depth, BeginNs, EndNs - BeginNs});
 }
 
 void TraceContext::nameThread(uint64_t Tid, std::string Name) {
@@ -78,7 +78,7 @@ void TraceContext::nameThread(uint64_t Tid, std::string Name) {
   Names.emplace_back(Tid, std::move(Name));
 }
 
-std::vector<TraceRecord> TraceContext::records() const {
+std::vector<WireSpan> TraceContext::records() const {
   std::lock_guard<std::mutex> Lock(Mtx);
   return Records;
 }
@@ -106,22 +106,27 @@ void ChromeTraceWriter::beginEvent() {
   ++Events;
 }
 
-void ChromeTraceWriter::completeEvent(
-    uint64_t Pid, uint64_t Tid, const std::string &Name, const char *Category,
-    double TsUs, double DurUs,
-    const std::vector<std::pair<std::string, std::string>> &Args) {
+void ChromeTraceWriter::completeEvent(uint64_t Pid, uint64_t Tid,
+                                      const std::string &Name,
+                                      const char *Category, double TsUs,
+                                      double DurUs,
+                                      const std::vector<TraceArg> &Args) {
   beginEvent();
-  OS << "  {\"name\": \"" << jsonEscape(Name) << "\", \"cat\": \"" << Category
-     << "\", \"ph\": \"X\", \"pid\": " << Pid << ", \"tid\": " << Tid
-     << ", \"ts\": ";
+  OS << "  {\"name\": \"" << jsonEscape(Name) << "\", \"cat\": \""
+     << jsonEscape(Category) << "\", \"ph\": \"X\", \"pid\": " << Pid
+     << ", \"tid\": " << Tid << ", \"ts\": ";
   writeJsonNumber(OS, TsUs);
   OS << ", \"dur\": ";
   writeJsonNumber(OS, DurUs);
   if (!Args.empty()) {
     OS << ", \"args\": {";
-    for (size_t I = 0; I < Args.size(); ++I)
-      OS << (I ? ", " : "") << "\"" << jsonEscape(Args[I].first) << "\": \""
-         << jsonEscape(Args[I].second) << "\"";
+    for (size_t I = 0; I < Args.size(); ++I) {
+      OS << (I ? ", " : "") << "\"" << jsonEscape(Args[I].Key) << "\": ";
+      if (Args[I].IsNumber)
+        writeJsonNumber(OS, Args[I].Num);
+      else
+        OS << "\"" << jsonEscape(Args[I].Str) << "\"";
+    }
     OS << "}";
   }
   OS << "}";

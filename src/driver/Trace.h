@@ -69,18 +69,21 @@ bool traceIdFromHex(const std::string &S, uint64_t &Out);
 /// splitmix64 finalizer. Deterministic, so test runs are reproducible.
 uint64_t deriveTraceId(uint64_t Seed, uint64_t Counter);
 
-/// One recorded span. Like StageSpan but owning its name (names cross
-/// thread and process boundaries) and carrying the recording thread.
-struct TraceRecord {
+/// One recorded span: the record TraceContext collects, the flight
+/// recorder keeps, and a traced dra-resp-v1 carries on the wire
+/// (`span=tid;depth;begin_ns;dur_ns;name`). Like StageSpan but owning its
+/// name (names cross thread and process boundaries) and carrying the
+/// recording thread.
+struct WireSpan {
   std::string Name;
-  uint64_t BeginNs = 0; ///< Absolute steadyClockNs().
-  uint64_t EndNs = 0;
+  uint64_t Tid = 0; ///< osThreadId() of the recording thread.
   /// Nesting depth for tabular display (Chrome nests by time containment
   /// instead). Convention: 0 = the whole request, 1 = a server phase
   /// (decode/parse/queue_wait/compile), 2 = a cache probe or pipeline
   /// stage, 3+ = pipeline sub-phases.
   unsigned Depth = 0;
-  uint64_t Tid = 0; ///< osThreadId() of the recording thread.
+  uint64_t BeginNs = 0; ///< Absolute steadyClockNs().
+  uint64_t DurNs = 0;
 };
 
 /// A bounded, thread-safe span collector for one request. The server
@@ -120,7 +123,7 @@ public:
   }
   void nameThread(uint64_t Tid, std::string Name);
 
-  std::vector<TraceRecord> records() const;
+  std::vector<WireSpan> records() const;
   std::vector<std::pair<uint64_t, std::string>> threadNames() const;
 
   size_t spanCount() const;
@@ -130,7 +133,7 @@ private:
   const uint64_t Id;
   const size_t MaxSpans;
   mutable std::mutex Mtx;
-  std::vector<TraceRecord> Records;
+  std::vector<WireSpan> Records;
   std::vector<std::pair<uint64_t, std::string>> Names;
   std::atomic<uint64_t> Dropped{0};
 };
@@ -156,21 +159,34 @@ private:
   uint64_t BeginNs;
 };
 
+/// One `args` entry of a Chrome trace event: a string or a number value
+/// (numbers stay JSON numbers, so the viewer can sort and sum them).
+struct TraceArg {
+  TraceArg(std::string Key, std::string Str)
+      : Key(std::move(Key)), Str(std::move(Str)) {}
+  TraceArg(std::string Key, double Num)
+      : Key(std::move(Key)), Num(Num), IsNumber(true) {}
+
+  std::string Key;
+  std::string Str;
+  double Num = 0;
+  bool IsNumber = false;
+};
+
 /// Streaming Chrome trace-event writer (the JSON Array Format:
 /// `{"traceEvents": [...]}` with "X" complete events and "M" metadata),
-/// used by dra-loadgen's `--trace-out` merge. Timestamps are microseconds;
-/// callers rebase absolute steadyClockNs() themselves so the viewer's
-/// origin is the first event, not machine boot.
+/// used by every `--trace-out`. Timestamps are microseconds; callers
+/// rebase absolute steadyClockNs() themselves so the viewer's origin is
+/// the first event, not machine boot.
 class ChromeTraceWriter {
 public:
   explicit ChromeTraceWriter(std::ostream &OS) : OS(OS) {}
 
-  /// One `ph:"X"` complete event. \p Args are extra string key/values
-  /// (e.g. {"traceid", "1f2e..."}).
-  void completeEvent(
-      uint64_t Pid, uint64_t Tid, const std::string &Name,
-      const char *Category, double TsUs, double DurUs,
-      const std::vector<std::pair<std::string, std::string>> &Args = {});
+  /// One `ph:"X"` complete event. \p Args are extra key/values (e.g.
+  /// {"traceid", "1f2e..."} or {"insts", 42.0}).
+  void completeEvent(uint64_t Pid, uint64_t Tid, const std::string &Name,
+                     const char *Category, double TsUs, double DurUs,
+                     const std::vector<TraceArg> &Args = {});
 
   /// `process_name` / `thread_name` metadata events.
   void processName(uint64_t Pid, const std::string &Name);

@@ -48,13 +48,13 @@ ExecResult dra::interpret(const Function &F, uint64_t StepLimit,
 
     switch (I.Op) {
     case Opcode::Add:
-      Regs[I.Dst] = Regs[I.Src1] + Regs[I.Src2];
+      Regs[I.Dst] = wrapAdd(Regs[I.Src1], Regs[I.Src2]);
       break;
     case Opcode::Sub:
-      Regs[I.Dst] = Regs[I.Src1] - Regs[I.Src2];
+      Regs[I.Dst] = wrapSub(Regs[I.Src1], Regs[I.Src2]);
       break;
     case Opcode::Mul:
-      Regs[I.Dst] = Regs[I.Src1] * Regs[I.Src2];
+      Regs[I.Dst] = wrapMul(Regs[I.Src1], Regs[I.Src2]);
       break;
     case Opcode::DivS:
       Regs[I.Dst] = Regs[I.Src2] == 0 || (Regs[I.Src1] == INT64_MIN &&
@@ -86,10 +86,10 @@ ExecResult dra::interpret(const Function &F, uint64_t StepLimit,
                                          Shift(Regs[I.Src2]));
       break;
     case Opcode::AddI:
-      Regs[I.Dst] = Regs[I.Src1] + I.Imm;
+      Regs[I.Dst] = wrapAdd(Regs[I.Src1], I.Imm);
       break;
     case Opcode::MulI:
-      Regs[I.Dst] = Regs[I.Src1] * I.Imm;
+      Regs[I.Dst] = wrapMul(Regs[I.Src1], I.Imm);
       break;
     case Opcode::AndI:
       Regs[I.Dst] = Regs[I.Src1] & I.Imm;
@@ -124,13 +124,13 @@ ExecResult dra::interpret(const Function &F, uint64_t StepLimit,
       Regs[I.Dst] = I.Imm;
       break;
     case Opcode::Load: {
-      uint64_t Addr = WrapAddr(Regs[I.Src1] + I.Imm);
+      uint64_t Addr = WrapAddr(wrapAdd(Regs[I.Src1], I.Imm));
       Ev.MemAddr = Addr;
       Regs[I.Dst] = Mem[Addr];
       break;
     }
     case Opcode::Store: {
-      uint64_t Addr = WrapAddr(Regs[I.Src1] + I.Imm);
+      uint64_t Addr = WrapAddr(wrapAdd(Regs[I.Src1], I.Imm));
       Ev.MemAddr = Addr;
       Mem[Addr] = Regs[I.Src2];
       break;

@@ -88,6 +88,23 @@ enum class Opcode : uint8_t {
 /// Returns a human-readable mnemonic for \p Op.
 const char *opcodeName(Opcode Op);
 
+/// Add/Sub/Mul (and AddI/MulI, and Load/Store addresses) compute in two's
+/// complement modulo 2^64. The interpreter and the constant folder both
+/// evaluate through these, in uint64_t, because signed overflow is
+/// undefined behaviour in C++.
+inline int64_t wrapAdd(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) +
+                              static_cast<uint64_t>(B));
+}
+inline int64_t wrapSub(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) -
+                              static_cast<uint64_t>(B));
+}
+inline int64_t wrapMul(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) *
+                              static_cast<uint64_t>(B));
+}
+
 /// A single three-address instruction. Operand slots not used by the opcode
 /// hold NoReg / 0 / NoBlock.
 struct Instruction {

@@ -10,18 +10,18 @@ using namespace dra;
 namespace {
 
 /// Exact evaluation of a two-operand opcode, mirroring the interpreter's
-/// total semantics (wrapping shifts, zero-result division).
+/// total semantics (wrapping arithmetic and shifts, zero-result division).
 std::optional<int64_t> evalBinary(Opcode Op, int64_t A, int64_t B) {
   auto Shift = [](int64_t Amount) { return Amount & 63; };
   switch (Op) {
   case Opcode::Add:
   case Opcode::AddI:
-    return A + B;
+    return wrapAdd(A, B);
   case Opcode::Sub:
-    return A - B;
+    return wrapSub(A, B);
   case Opcode::Mul:
   case Opcode::MulI:
-    return A * B;
+    return wrapMul(A, B);
   case Opcode::DivS:
     return B == 0 || (A == INT64_MIN && B == -1) ? 0 : A / B;
   case Opcode::Rem:

@@ -56,7 +56,7 @@ struct RequestRecord {
   std::string Error;         ///< Diagnostic for error outcomes.
   /// Full span detail (and thread names for display); kept for slow
   /// requests only, cleared on everything else.
-  std::vector<TraceRecord> Spans;
+  std::vector<WireSpan> Spans;
   std::vector<std::pair<uint64_t, std::string>> ThreadNames;
 };
 

@@ -73,6 +73,7 @@
 #define DRA_SERVER_PROTOCOL_H
 
 #include "core/Pipeline.h"
+#include "driver/Trace.h"
 
 #include <cstdint>
 #include <string>
@@ -149,16 +150,6 @@ enum class ResponseStatus : uint8_t {
   Error, ///< Body is a diagnostic message.
 };
 
-/// One span of a response's inline trace summary: the wire form of a
-/// driver/Trace.h TraceRecord (begin absolute steadyClockNs, duration ns).
-struct WireSpan {
-  std::string Name;
-  uint64_t Tid = 0;
-  unsigned Depth = 0;
-  uint64_t BeginNs = 0;
-  uint64_t DurNs = 0;
-};
-
 /// Server response tier labels; also the `tier` label of the server's
 /// latency histograms.
 struct CompileResponse {
@@ -167,9 +158,9 @@ struct CompileResponse {
   std::string Tier = "none";
   std::string Body;
 
-  /// Inline trace summary, present only when the request carried a
-  /// traceid (all default/empty otherwise — the wire bytes are then
-  /// identical to a pre-tracing response).
+  /// Inline trace summary (driver/Trace.h WireSpans), present only when
+  /// the request carried a traceid (all default/empty otherwise — the wire
+  /// bytes are then identical to a pre-tracing response).
   uint64_t TraceId = 0;
   uint64_t ServerPid = 0;
   std::vector<WireSpan> Spans;

@@ -182,9 +182,7 @@ CompileResponse CompileServer::handleRequest(const std::string &Payload,
       SM.TracedRequests.fetch_add(1);
       Resp.TraceId = Req.TraceId;
       Resp.ServerPid = osProcessId();
-      for (const TraceRecord &S : TC.records())
-        Resp.Spans.push_back(
-            {S.Name, S.Tid, S.Depth, S.BeginNs, S.EndNs - S.BeginNs});
+      Resp.Spans = TC.records();
       Resp.ThreadNames = TC.threadNames();
     }
     RequestRecord Rec;
@@ -459,11 +457,11 @@ void CompileServer::writeRecentJson(std::ostream &OS, size_t N) const {
     if (!R.Spans.empty()) {
       OS << ", \"spans\": [";
       bool FirstSpan = true;
-      for (const TraceRecord &S : R.Spans) {
+      for (const WireSpan &S : R.Spans) {
         OS << (FirstSpan ? "" : ", ") << "{\"name\": \""
            << jsonEscape(S.Name) << "\", \"tid\": " << S.Tid
            << ", \"depth\": " << S.Depth << ", \"begin_ns\": " << S.BeginNs
-           << ", \"dur_ns\": " << (S.EndNs - S.BeginNs) << "}";
+           << ", \"dur_ns\": " << S.DurNs << "}";
         FirstSpan = false;
       }
       OS << "]";

@@ -45,6 +45,20 @@ TEST(Interp, SubMulShift) {
   EXPECT_EQ(interpret(F).ReturnValue, 56);
 }
 
+TEST(Interp, ArithmeticWrapsModulo2To64) {
+  Function F = straightLine([](IRBuilder &B) {
+    RegId Max = B.createMovImm(INT64_MAX);
+    RegId Big = B.createMovImm(6996648820);
+    RegId Sq = B.createBin(Opcode::Mul, Big, Big);   // wraps
+    RegId Up = B.createBinImm(Opcode::AddI, Max, 1); // INT64_MIN
+    RegId Down = B.createBin(Opcode::Sub, Up, Max);  // wraps to 1
+    return B.createBin(Opcode::Add, Sq, Down);
+  });
+  const int64_t Sq = static_cast<int64_t>(6996648820ull * 6996648820ull);
+  EXPECT_EQ(interpret(F).ReturnValue,
+            static_cast<int64_t>(static_cast<uint64_t>(Sq) + 1));
+}
+
 TEST(Interp, DivisionByZeroIsZero) {
   Function F = straightLine([](IRBuilder &B) {
     RegId A = B.createMovImm(5);

@@ -111,6 +111,24 @@ TEST(ConstantFold, FoldsArithmeticChains) {
   EXPECT_EQ(interpret(F).ReturnValue, 40);
 }
 
+TEST(ConstantFold, FoldsOverflowLikeTheInterpreter) {
+  Function F;
+  F.MemWords = 4;
+  F.makeBlock();
+  IRBuilder B(F);
+  B.setBlock(0);
+  RegId A = B.createMovImm(INT64_MAX);
+  RegId C = B.createMovImm(3);
+  RegId D = B.createBin(Opcode::Mul, A, C);     // INT64_MAX - 2
+  RegId E = B.createBinImm(Opcode::AddI, D, 5); // INT64_MIN + 2
+  B.createRet(E);
+  F.recomputeCFG();
+  const int64_t Expected = interpret(F).ReturnValue;
+  EXPECT_EQ(foldConstants(F).InstsFolded, 2u);
+  EXPECT_EQ(interpret(F).ReturnValue, Expected);
+  EXPECT_EQ(Expected, INT64_MIN + 2);
+}
+
 TEST(ConstantFold, FoldsKnownBranch) {
   Function F;
   F.MemWords = 4;

@@ -76,11 +76,13 @@ TEST(TraceContext, RecordsSpansWithDepthAndTid) {
   TC.record("compile", 120, 190, 1);
   TC.recordOn(777, "queue_wait", 100, 120, 1);
   ASSERT_EQ(3u, TC.spanCount());
-  std::vector<TraceRecord> R = TC.records();
+  std::vector<WireSpan> R = TC.records();
   EXPECT_EQ("request", R[0].Name);
   EXPECT_EQ(0u, R[0].Depth);
   EXPECT_EQ(osThreadId(), R[0].Tid);
   EXPECT_EQ(777u, R[2].Tid); // explicit attribution wins
+  EXPECT_EQ(100u, R[0].BeginNs);
+  EXPECT_EQ(100u, R[0].DurNs);
   EXPECT_EQ(0u, TC.droppedSpans());
 }
 
@@ -120,7 +122,8 @@ TEST(TraceContext, ScopedSpanOnNullContextIsANoop) {
   { ScopedTraceSpan Span(&TC, "real", 1); }
   ASSERT_EQ(1u, TC.spanCount());
   EXPECT_EQ("real", TC.records()[0].Name);
-  EXPECT_LE(TC.records()[0].BeginNs, TC.records()[0].EndNs);
+  std::vector<WireSpan> R = TC.records();
+  EXPECT_LE(R[0].BeginNs + R[0].DurNs, steadyClockNs());
 }
 
 //===----------------------------------------------------------------------===//
@@ -133,7 +136,9 @@ TEST(ChromeTraceWriter, OutputParsesBackWithExpectedEvents) {
   W.processName(100, "dra-loadgen");
   W.threadName(100, 5, "client-0");
   W.completeEvent(100, 5, "rpc", "client", 0.0, 1234.5,
-                  {{"traceid", "00000000000000ff"}, {"tier", "miss"}});
+                  {{"traceid", "00000000000000ff"},
+                   {"tier", "miss"},
+                   {"insts", 42.0}});
   W.completeEvent(200, 9, "compile", "server", 10.0, 1000.0);
   W.finish();
   EXPECT_EQ(4u, W.eventCount());
@@ -160,6 +165,8 @@ TEST(ChromeTraceWriter, OutputParsesBackWithExpectedEvents) {
   ASSERT_NE(nullptr, Args);
   EXPECT_EQ("00000000000000ff", Args->field("traceid")->Str);
   EXPECT_EQ("miss", Args->field("tier")->Str);
+  EXPECT_EQ(JsonValue::Number, Args->field("insts")->K);
+  EXPECT_EQ(42.0, Args->field("insts")->Num);
 }
 
 TEST(ChromeTraceWriter, EscapesNamesAndEmptyDocumentIsValid) {
@@ -174,13 +181,15 @@ TEST(ChromeTraceWriter, EscapesNamesAndEmptyDocumentIsValid) {
   }
   std::ostringstream OS;
   ChromeTraceWriter W(OS);
-  W.completeEvent(1, 1, "weird \"name\"\n", "cat", 0, 1);
+  W.completeEvent(1, 1, "weird \"name\"\n", "odd \"cat\"", 0, 1);
   W.finish();
   JsonValue Root;
   std::string Err;
   ASSERT_TRUE(parseJson(OS.str(), Root, &Err)) << Err;
   EXPECT_EQ("weird \"name\"\n",
             Root.field("traceEvents")->Arr[0].field("name")->Str);
+  EXPECT_EQ("odd \"cat\"",
+            Root.field("traceEvents")->Arr[0].field("cat")->Str);
 }
 
 //===----------------------------------------------------------------------===//
@@ -194,8 +203,8 @@ RequestRecord makeRecord(double TotalUs, const char *Outcome = "ok") {
   R.Outcome = Outcome;
   R.Tier = "miss";
   R.TotalUs = TotalUs;
-  R.Spans.push_back({"request", 0, 1000, 0, 1});
-  R.Spans.push_back({"compile", 100, 900, 1, 2});
+  R.Spans.push_back({"request", 1, 0, 0, 1000});
+  R.Spans.push_back({"compile", 2, 1, 100, 800});
   R.ThreadNames.push_back({1, "conn-1"});
   return R;
 }

@@ -4,9 +4,10 @@
 //
 // Compiles a directory (or explicit list) of `.dra` files through the
 // parallel batch driver and emits a telemetry report: a per-file summary
-// table on stdout, an aggregate JSON report (--json-out), and a Chrome
-// trace-event timeline (--trace-out) with one span per pipeline stage per
-// function, viewable in chrome://tracing or https://ui.perfetto.dev.
+// and per-stage timing table on stdout, allocator-deep metrics
+// (--metrics-out), and a Chrome trace-event timeline (--trace-out) with
+// one span per pipeline stage per function, viewable in chrome://tracing
+// or https://ui.perfetto.dev.
 //
 //===----------------------------------------------------------------------===//
 
@@ -59,7 +60,6 @@ const char *UsageText =
     "  --jobs=N           pool workers (default 0 = hardware concurrency)\n"
     "  --per-task-seeds   decorrelate remap RNG streams per input\n"
     "  --trace-out=FILE   Chrome trace-event JSON (chrome://tracing)\n"
-    "  --json-out=FILE    aggregate counters + per-stage timing JSON\n"
     "  --metrics-out=FILE allocator-deep metrics (per-function counters,\n"
     "                     gauges, stage histograms) as dra-metrics-v1\n"
     "                     JSON; compare runs with dra-stats\n"
@@ -108,7 +108,6 @@ struct Options {
   bool PerTaskSeeds = false;
   bool Help = false;
   std::string TraceOut;
-  std::string JsonOut;
   std::string MetricsOut;
   std::string CacheDir;
   unsigned CacheMemMb = 64;
@@ -177,8 +176,6 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
         return false;
     } else if (const char *V = Value("--trace-out=")) {
       O.TraceOut = V;
-    } else if (const char *V = Value("--json-out=")) {
-      O.JsonOut = V;
     } else if (const char *V = Value("--metrics-out=")) {
       O.MetricsOut = V;
     } else if (const char *V = Value("--cache-dir=")) {
@@ -264,10 +261,8 @@ int runTrainSweep(const Options &O, const PipelineConfig &Base,
                   const std::vector<Function> &Functions,
                   const std::vector<uint64_t> &RefFp) {
   const std::vector<PortfolioArm> Arms = defaultPortfolioArms();
-  Telemetry Telem;
   BatchOptions BO;
   BO.Jobs = O.Jobs;
-  BO.Telem = &Telem;
   BO.PerTaskSeeds = O.PerTaskSeeds;
   BatchCompiler Batch(BO);
 
@@ -523,15 +518,6 @@ int main(int Argc, char **Argv) {
     }
     Telem.writeChromeTrace(Out);
     std::fprintf(stderr, "trace written to %s\n", O.TraceOut.c_str());
-  }
-  if (!O.JsonOut.empty()) {
-    std::ofstream Out(O.JsonOut);
-    if (!Out) {
-      std::fprintf(stderr, "error: cannot write '%s'\n", O.JsonOut.c_str());
-      return 1;
-    }
-    Telem.writeJson(Out);
-    std::fprintf(stderr, "report written to %s\n", O.JsonOut.c_str());
   }
   if (!O.MetricsOut.empty()) {
     std::string Err;
