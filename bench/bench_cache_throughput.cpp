@@ -131,9 +131,9 @@ int runCorpus(const std::string &Dir) {
       Batch.run(Programs, Config);
       Cache.setVerifyFraction(0.0);
       St = Cache.stats();
-      if (St.VerifyRecompiles != Programs.size()) {
+      if (St.VerifiedHits != Programs.size()) {
         std::fprintf(stderr, "error: verify pass recompiled %llu of %zu\n",
-                     static_cast<unsigned long long>(St.VerifyRecompiles),
+                     static_cast<unsigned long long>(St.VerifiedHits),
                      Programs.size());
         return 1;
       }
@@ -155,7 +155,7 @@ int runCorpus(const std::string &Dir) {
                   "%7.1fx  verify %llu/%llu mismatch\n",
                   schemeName(S), Jobs, ColdSec * 1e3, WarmSec * 1e3, Speedup,
                   static_cast<unsigned long long>(St.VerifyMismatches),
-                  static_cast<unsigned long long>(St.VerifyRecompiles));
+                  static_cast<unsigned long long>(St.VerifiedHits));
     }
   }
 

@@ -26,6 +26,73 @@ uint64_t liveSetHash(const std::vector<uint32_t> &Regs) {
 
 } // namespace
 
+SpillProblem dra::buildSpillProblem(const Function &F, unsigned K,
+                                    const std::vector<uint8_t> &IsSpillTemp,
+                                    Arena *Scratch) {
+  SpillProblem Out;
+  Liveness LV = Liveness::compute(F, Scratch);
+  LoopInfo LI = LoopInfo::compute(F);
+
+  // Frequency-weighted spill cost of every virtual register.
+  std::vector<double> CostOf(F.NumRegs, 0.0);
+  for (uint32_t B = 0, E = static_cast<uint32_t>(F.Blocks.size()); B != E;
+       ++B) {
+    double Freq = LI.frequency(B);
+    for (const Instruction &I : F.Blocks[B].Insts) {
+      RegId Def = I.def();
+      if (Def != NoReg)
+        CostOf[Def] += Freq;
+      RegId Uses[2];
+      unsigned NumUses;
+      I.uses(Uses, NumUses);
+      for (unsigned U = 0; U != NumUses; ++U)
+        CostOf[Uses[U]] += Freq;
+    }
+  }
+  // Spill temporaries must essentially never be re-spilled.
+  for (RegId R = 0; R != F.NumRegs; ++R) {
+    if (R < IsSpillTemp.size() && IsSpillTemp[R])
+      CostOf[R] = 1e12;
+    CostOf[R] = std::max(CostOf[R], 1e-6);
+  }
+
+  // Collect over-pressure points; the ILP only sees virtual registers
+  // that occur in at least one constraint (compaction keeps the search
+  // space proportional to the over-pressure regions, not the whole
+  // function).
+  std::unordered_set<uint64_t> Seen;
+  std::unordered_map<uint32_t, uint32_t> VarOf;
+  auto AddPoint = [&](const BitVector &Live) {
+    size_t Pressure = Live.count();
+    if (Pressure <= K)
+      return;
+    std::vector<uint32_t> Regs = Live.toVector();
+    if (!Seen.insert(liveSetHash(Regs)).second)
+      return;
+    CoverConstraint Con;
+    Con.Need = static_cast<int>(Pressure - K);
+    for (uint32_t R : Regs) {
+      auto [It, Inserted] =
+          VarOf.try_emplace(R, static_cast<uint32_t>(Out.RegOfVar.size()));
+      if (Inserted) {
+        Out.RegOfVar.push_back(R);
+        Out.ILP.Cost.push_back(CostOf[R]);
+      }
+      Con.Vars.push_back(It->second);
+    }
+    Out.ILP.Constraints.push_back(std::move(Con));
+  };
+  for (uint32_t B = 0, E = static_cast<uint32_t>(F.Blocks.size()); B != E;
+       ++B) {
+    AddPoint(LV.liveIn(B));
+    LV.forEachInstBackward(
+        F, B, [&](size_t, const BitVector &LiveAfter) {
+          AddPoint(LiveAfter);
+        });
+  }
+  return Out;
+}
+
 OptimalSpillResult dra::optimalSpill(Function &F, unsigned K,
                                      uint64_t NodeBudget,
                                      std::vector<StageSpan> *SubSpans,
@@ -38,91 +105,25 @@ OptimalSpillResult dra::optimalSpill(Function &F, unsigned K,
     ScopedSpan RoundSpan(SubSpans, "ospill.round");
     ++Result.Rounds;
     F.recomputeCFG();
-    Liveness LV = Liveness::compute(F, Scratch);
-    LoopInfo LI = LoopInfo::compute(F);
-
-    // Frequency-weighted spill cost of every virtual register.
-    std::vector<double> CostOf(F.NumRegs, 0.0);
-    for (uint32_t B = 0, E = static_cast<uint32_t>(F.Blocks.size()); B != E;
-         ++B) {
-      double Freq = LI.frequency(B);
-      for (const Instruction &I : F.Blocks[B].Insts) {
-        RegId Def = I.def();
-        if (Def != NoReg)
-          CostOf[Def] += Freq;
-        RegId Uses[2];
-        unsigned NumUses;
-        I.uses(Uses, NumUses);
-        for (unsigned U = 0; U != NumUses; ++U)
-          CostOf[Uses[U]] += Freq;
-      }
-    }
-    // Spill temporaries must essentially never be re-spilled.
-    for (RegId R = 0; R != F.NumRegs; ++R) {
-      if (R < IsSpillTemp.size() && IsSpillTemp[R])
-        CostOf[R] = 1e12;
-      CostOf[R] = std::max(CostOf[R], 1e-6);
-    }
-
-    // Collect over-pressure points; the ILP only sees virtual registers
-    // that occur in at least one constraint (compaction keeps the search
-    // space proportional to the over-pressure regions, not the whole
-    // function).
-    std::unordered_set<uint64_t> Seen;
-    std::vector<std::vector<uint32_t>> RawConstraints;
-    std::vector<int> RawNeeds;
-    auto AddPoint = [&](const BitVector &Live) {
-      size_t Pressure = Live.count();
-      if (Pressure <= K)
-        return;
-      std::vector<uint32_t> Regs = Live.toVector();
-      if (!Seen.insert(liveSetHash(Regs)).second)
-        return;
-      RawConstraints.push_back(std::move(Regs));
-      RawNeeds.push_back(static_cast<int>(Pressure - K));
-    };
-    for (uint32_t B = 0, E = static_cast<uint32_t>(F.Blocks.size()); B != E;
-         ++B) {
-      AddPoint(LV.liveIn(B));
-      LV.forEachInstBackward(
-          F, B, [&](size_t, const BitVector &LiveAfter) {
-            AddPoint(LiveAfter);
-          });
-    }
-    if (RawConstraints.empty())
+    SpillProblem Problem = buildSpillProblem(F, K, IsSpillTemp, Scratch);
+    if (Problem.ILP.Constraints.empty())
       return Result; // Pressure everywhere within K: done.
 
-    // Compact variable indexing.
-    std::unordered_map<uint32_t, uint32_t> VarOf;
-    std::vector<RegId> RegOfVar;
-    CoverProblem Problem;
-    for (size_t CIdx = 0; CIdx != RawConstraints.size(); ++CIdx) {
-      CoverConstraint Con;
-      Con.Need = RawNeeds[CIdx];
-      for (uint32_t R : RawConstraints[CIdx]) {
-        auto [It, Inserted] =
-            VarOf.try_emplace(R, static_cast<uint32_t>(RegOfVar.size()));
-        if (Inserted) {
-          RegOfVar.push_back(R);
-          Problem.Cost.push_back(CostOf[R]);
-        }
-        Con.Vars.push_back(It->second);
-      }
-      Problem.Constraints.push_back(std::move(Con));
-    }
-
-    Result.ILPConstraints += Problem.Constraints.size();
-    Result.ILPVariables += RegOfVar.size();
-    CoverSolution Sol = solveCover(Problem, NodeBudget);
+    Result.ILPConstraints += Problem.ILP.Constraints.size();
+    Result.ILPVariables += Problem.RegOfVar.size();
+    CoverSolution Sol = solveCover(Problem.ILP, NodeBudget);
     Result.ILPOptimal &= Sol.Optimal;
+    Result.ILPNodes += Sol.NodesExplored;
+    Result.ILPGreedyCost += Sol.GreedyCost;
+    Result.ILPFinalCost += Sol.TotalCost;
 
     bool AnySpill = false;
-    for (uint32_t Var = 0; Var != RegOfVar.size(); ++Var) {
+    for (uint32_t Var = 0; Var != Problem.RegOfVar.size(); ++Var) {
       if (!Sol.Selected[Var])
         continue;
       AnySpill = true;
       ++Result.SpilledRanges;
-      std::vector<RegId> Temps = insertSpillCode(F, RegOfVar[Var]);
+      std::vector<RegId> Temps = insertSpillCode(F, Problem.RegOfVar[Var]);
       IsSpillTemp.resize(F.NumRegs, 0);
       for (RegId T : Temps)
         IsSpillTemp[T] = 1;

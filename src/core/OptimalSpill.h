@@ -24,6 +24,7 @@
 #define DRA_CORE_OPTIMALSPILL_H
 
 #include "driver/Metrics.h"
+#include "ilp/CoverSolver.h"
 #include "ir/Function.h"
 
 #include <cstdint>
@@ -46,7 +47,30 @@ struct OptimalSpillResult {
   /// problem size the branch-and-bound search actually faced.
   size_t ILPConstraints = 0;
   size_t ILPVariables = 0;
+  /// Branch-and-bound nodes, greedy-incumbent costs and returned cover
+  /// costs, summed over all solves: how hard the search worked and what it
+  /// gained over the greedy cover. Not part of the cached result.
+  uint64_t ILPNodes = 0;
+  double ILPGreedyCost = 0;
+  double ILPFinalCost = 0;
 };
+
+/// One refinement round's covering ILP: one variable per virtual register
+/// live at some over-pressure point, one constraint per distinct
+/// over-pressure live set.
+struct SpillProblem {
+  CoverProblem ILP;
+  /// The register each ILP variable stands for.
+  std::vector<RegId> RegOfVar;
+};
+
+/// Builds the covering ILP of one refinement round of optimalSpill over
+/// \p F, whose CFG must be current. \p IsSpillTemp marks the spill
+/// temporaries of earlier rounds (priced out of the ILP); it may be
+/// shorter than F.NumRegs. No constraints means no point exceeds \p K.
+SpillProblem buildSpillProblem(const Function &F, unsigned K,
+                               const std::vector<uint8_t> &IsSpillTemp,
+                               Arena *Scratch = nullptr);
 
 /// Inserts spill code into \p F until no program point has more than \p K
 /// simultaneously-live registers. Minimizes the frequency-weighted spill

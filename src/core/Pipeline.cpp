@@ -234,6 +234,9 @@ void flushPipelineMetrics(MetricsRegistry &M, const PipelineConfig &C,
   Count("ospill.ilp_variables",
         static_cast<double>(R.OSpill.ILPVariables));
   Count("ospill.ilp_suboptimal", R.OSpill.ILPOptimal ? 0 : 1);
+  Count("ospill.ilp_nodes", static_cast<double>(R.OSpill.ILPNodes));
+  Count("ospill.ilp_greedy_cost", R.OSpill.ILPGreedyCost);
+  Count("ospill.ilp_final_cost", R.OSpill.ILPFinalCost);
 
   // Differential coalesce (oracle-driven search).
   Count("coalesce.steps", R.Coalesce.Steps);

@@ -638,15 +638,14 @@ bool ResultCache::lookupTiered(const Function &Src, const PipelineConfig &C,
   }
 
   if (shouldVerify(Key)) {
-    // Hijack the hit: report a miss so the caller recompiles; store()
+    // Hijack the hit: return false so the caller recompiles; store()
     // compares the fresh payload against this one.
     {
       std::lock_guard<std::mutex> Lock(PendingM);
       PendingVerify[Key] = std::move(Payload);
     }
-    VerifyRecompiles.fetch_add(1, std::memory_order_relaxed);
-    Misses.fetch_add(1, std::memory_order_relaxed);
-    TraceProbe("verify_miss");
+    VerifiedHits.fetch_add(1, std::memory_order_relaxed);
+    TraceProbe("hit_verified");
     return false;
   }
 
@@ -701,7 +700,7 @@ ResultCacheStats ResultCache::stats() const {
   S.Stores = Stores.load(std::memory_order_relaxed);
   S.Evictions = Evictions.load(std::memory_order_relaxed);
   S.LoadErrors = LoadErrors.load(std::memory_order_relaxed);
-  S.VerifyRecompiles = VerifyRecompiles.load(std::memory_order_relaxed);
+  S.VerifiedHits = VerifiedHits.load(std::memory_order_relaxed);
   S.VerifyMismatches = VerifyMismatches.load(std::memory_order_relaxed);
   S.Bytes = Bytes.load(std::memory_order_relaxed);
   return S;
@@ -721,8 +720,7 @@ void ResultCache::flushMetrics(MetricsRegistry &M) const {
   M.setCount("cache.stores", static_cast<double>(S.Stores));
   M.setCount("cache.evictions", static_cast<double>(S.Evictions));
   M.setCount("cache.load_errors", static_cast<double>(S.LoadErrors));
-  M.setCount("cache.verify_recompiles",
-             static_cast<double>(S.VerifyRecompiles));
+  M.setCount("cache.hits_verified", static_cast<double>(S.VerifiedHits));
   M.setCount("cache.verify_mismatches",
              static_cast<double>(S.VerifyMismatches));
   M.gauge("cache.bytes", static_cast<double>(S.Bytes));

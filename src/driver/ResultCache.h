@@ -34,7 +34,8 @@
 /// `VerifyFraction` turns a deterministic sample of hits into forced
 /// recompiles whose serialized result is compared byte-for-byte against
 /// the cached payload ("cached == fresh" is a hard invariant, not a
-/// hope); divergence bumps `cache.verify_mismatches`.
+/// hope). They count as `cache.hits_verified`, not as misses; divergence
+/// bumps `cache.verify_mismatches`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -75,11 +76,14 @@ struct ResultCacheStats {
   uint64_t Hits = 0;       ///< MemHits + DiskHits.
   uint64_t MemHits = 0;
   uint64_t DiskHits = 0;   ///< Served from disk (and promoted to memory).
-  uint64_t Misses = 0;     ///< Includes verify-forced recompiles.
+  uint64_t Misses = 0;     ///< Not found (or undecodable).
   uint64_t Stores = 0;
   uint64_t Evictions = 0;  ///< Memory-tier LRU evictions.
   uint64_t LoadErrors = 0; ///< Disk entries rejected and quarantined.
-  uint64_t VerifyRecompiles = 0;
+  /// Hits hijacked into a recompile for byte-comparison (VerifyFraction).
+  /// Counted here only: neither in Hits (the caller recompiles) nor in
+  /// Misses (the entry was there).
+  uint64_t VerifiedHits = 0;
   uint64_t VerifyMismatches = 0;
   uint64_t Bytes = 0;      ///< Current memory-tier footprint.
 };
@@ -168,13 +172,13 @@ private:
   std::atomic<double> VerifyFrac{0};
 
   /// Payloads of hits hijacked for verification, keyed by fingerprint:
-  /// lookup() stashes the payload and reports a miss; the recompile's
+  /// lookup() stashes the payload and returns false; the recompile's
   /// store() compares against it.
   std::mutex PendingM;
   std::unordered_map<uint64_t, std::string> PendingVerify;
 
   mutable std::atomic<uint64_t> MemHits{0}, DiskHits{0}, Misses{0},
-      Stores{0}, Evictions{0}, LoadErrors{0}, VerifyRecompiles{0},
+      Stores{0}, Evictions{0}, LoadErrors{0}, VerifiedHits{0},
       VerifyMismatches{0}, Bytes{0};
 };
 

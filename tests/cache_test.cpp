@@ -395,10 +395,50 @@ TEST(CacheVerify, CleanHitsVerifyWithZeroMismatches) {
   PipelineResult Cold = runPipeline(P, C);
   PipelineResult Warm = runPipeline(P, C); // Hit hijacked into a recompile.
   ResultCacheStats S = Cache.stats();
-  EXPECT_EQ(S.VerifyRecompiles, 1u);
+  EXPECT_EQ(S.VerifiedHits, 1u);
   EXPECT_EQ(S.VerifyMismatches, 0u);
-  EXPECT_EQ(S.Hits, 0u); // The verified hit is accounted as a miss.
+  EXPECT_EQ(S.Hits, 0u); // A verified hit is recompiled, not served...
+  EXPECT_EQ(S.Misses, 1u); // ...and is no miss: only the cold run missed.
   EXPECT_EQ(printFunction(Warm.F), printFunction(Cold.F));
+}
+
+TEST(CacheVerify, VerifiedHitsAreNeitherHitsNorMisses) {
+  ResultCacheOptions O;
+  ResultCache Cache(O);
+  PipelineConfig C = smallConfig();
+  C.Cache = &Cache;
+  std::vector<Function> Programs = {testProgram(11), testProgram(12),
+                                    testProgram(13)};
+  const uint64_t N = Programs.size();
+
+  for (const Function &P : Programs) // Cold: every lookup misses.
+    runPipeline(P, C);
+  Cache.setVerifyFraction(1.0);
+  for (const Function &P : Programs) // Warm, every hit verified.
+    runPipeline(P, C);
+  ResultCacheStats S = Cache.stats();
+  EXPECT_EQ(S.Misses, N);
+  EXPECT_EQ(S.Hits, 0u);
+  EXPECT_EQ(S.VerifiedHits, N);
+  EXPECT_EQ(S.VerifyMismatches, 0u);
+
+  Cache.setVerifyFraction(0.0);
+  for (const Function &P : Programs) // Warm, served from memory.
+    runPipeline(P, C);
+  S = Cache.stats();
+  EXPECT_EQ(S.Misses, N);
+  EXPECT_EQ(S.Hits, N);
+  EXPECT_EQ(S.MemHits, N);
+  EXPECT_EQ(S.VerifiedHits, N);
+
+  MetricsRegistry Reg;
+  Cache.flushMetrics(Reg);
+  for (const auto &CS : Reg.counters()) {
+    if (CS.Name == "cache.misses" || CS.Name == "cache.hits" ||
+        CS.Name == "cache.hits_verified") {
+      EXPECT_EQ(CS.Value, static_cast<double>(N)) << CS.Name;
+    }
+  }
 }
 
 TEST(CacheVerify, DetectsTamperedEntry) {
@@ -423,7 +463,7 @@ TEST(CacheVerify, DetectsTamperedEntry) {
   C.Cache = &Cache;
   PipelineResult Out = runPipeline(P, C);
   ResultCacheStats S = Cache.stats();
-  EXPECT_EQ(S.VerifyRecompiles, 1u);
+  EXPECT_EQ(S.VerifiedHits, 1u);
   EXPECT_EQ(S.VerifyMismatches, 1u);
   // The caller still gets the fresh (correct) result.
   EXPECT_EQ(Out.CodeBytes, R.CodeBytes);
@@ -440,7 +480,7 @@ TEST(CacheMetrics, FlushEmitsEverySeriesEvenAtZero) {
   const char *Expected[] = {
       "cache.hits",        "cache.hits_mem",   "cache.hits_disk",
       "cache.misses",      "cache.stores",     "cache.evictions",
-      "cache.load_errors", "cache.verify_recompiles",
+      "cache.load_errors", "cache.hits_verified",
       "cache.verify_mismatches"};
   auto Counters = Reg.counters();
   for (const char *Name : Expected) {

@@ -2,10 +2,12 @@
 
 #include "core/Encoder.h"
 #include "core/Pipeline.h"
+#include "driver/ResultCache.h"
 #include "interp/Interpreter.h"
 #include "workloads/MiBench.h"
 
 #include <gtest/gtest.h>
+#include <map>
 
 using namespace dra;
 
@@ -90,6 +92,32 @@ TEST(Pipeline, OSpillSpillsNoMoreThanBaseline) {
   PipelineResult Base = runPipeline(F, fastConfig(Scheme::Baseline));
   PipelineResult OS = runPipeline(F, fastConfig(Scheme::OSpill));
   EXPECT_LE(OS.SpillInsts, Base.SpillInsts);
+}
+
+TEST(Pipeline, OSpillCountsItsSearch) {
+  Function F = miBenchProgram("crc32");
+  PipelineConfig C = fastConfig(Scheme::OSpill);
+  MetricsRegistry Reg;
+  C.Metrics = &Reg;
+  PipelineResult R = runPipeline(F, C);
+  EXPECT_GT(R.OSpill.ILPNodes, 0u);
+  EXPECT_GT(R.OSpill.ILPFinalCost, 0.0);
+  EXPECT_LE(R.OSpill.ILPFinalCost, R.OSpill.ILPGreedyCost);
+
+  std::map<std::string, double> Flushed;
+  for (const auto &CS : Reg.counters())
+    Flushed[CS.Name] += CS.Value;
+  EXPECT_EQ(Flushed["ospill.ilp_nodes"],
+            static_cast<double>(R.OSpill.ILPNodes));
+  EXPECT_EQ(Flushed["ospill.ilp_greedy_cost"], R.OSpill.ILPGreedyCost);
+  EXPECT_EQ(Flushed["ospill.ilp_final_cost"], R.OSpill.ILPFinalCost);
+
+  // Search effort is not part of the cached result.
+  PipelineResult Bare = R;
+  Bare.OSpill.ILPNodes = 0;
+  Bare.OSpill.ILPGreedyCost = Bare.OSpill.ILPFinalCost = 0;
+  EXPECT_EQ(ResultCache::serializeResult(Bare),
+            ResultCache::serializeResult(R));
 }
 
 TEST(Pipeline, AdaptiveNeverLosesToBaselineEstimate) {

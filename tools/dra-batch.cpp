@@ -488,7 +488,7 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(CS.Misses),
                 static_cast<unsigned long long>(CS.Evictions),
                 static_cast<unsigned long long>(CS.LoadErrors),
-                static_cast<unsigned long long>(CS.VerifyRecompiles),
+                static_cast<unsigned long long>(CS.VerifiedHits),
                 static_cast<unsigned long long>(CS.VerifyMismatches));
     if (CS.VerifyMismatches != 0) {
       std::fprintf(stderr, "error: cache verification found %llu "
