@@ -365,6 +365,12 @@ int main(int Argc, char **Argv) {
     std::fputs(UsageText, stdout);
     return 0;
   }
+  for (Scheme S : schemesToRun(O))
+    if (std::string Why = validate(configFor(O, S)); !Why.empty()) {
+      std::fprintf(stderr, "error: invalid configuration: %s\n",
+                   Why.c_str());
+      return 2;
+    }
   if (!O.TestDir.empty())
     return runCorpus(O);
   if (!O.EmitDir.empty())
