@@ -231,8 +231,8 @@ uint64_t ResultCache::cacheKey(const Function &Src, const PipelineConfig &C) {
     }
   }
 
-  // Every config knob that steers the pipeline. Remap.Jobs is excluded
-  // (bit-identical at any worker count); Metrics/Cache pointers never
+  // Every config knob that steers the pipeline. Remap.Pool is excluded
+  // (bit-identical with or without helpers); Metrics/Cache pointers never
   // affect the result by construction.
   H.u8(static_cast<uint8_t>(C.S));
   H.u32(C.BaselineK);
@@ -256,7 +256,7 @@ uint64_t ResultCache::cacheKey(const Function &Src, const PipelineConfig &C) {
   for (RegId R : C.Remap.PinnedRegs)
     H.u32(R);
 
-  // Portfolio block. Jobs is excluded for the same reason as Remap.Jobs:
+  // Portfolio block. Jobs is excluded for the same reason as Remap.Pool:
   // the race is bit-identical at any worker count. The arm list hashes in
   // *resolved* form so an explicit default-arm list and an empty one key
   // identically. (Appending the mode tag shifts every key vs. older

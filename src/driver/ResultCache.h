@@ -10,10 +10,11 @@
 /// determines a pipeline run bit-for-bit:
 ///
 ///   (cache-format version, canonicalized function IR, scheme,
-///    EncodingConfig, RemapOptions minus Jobs, coalesce/ILP/adaptive knobs)
+///    EncodingConfig, RemapOptions minus its pool hooks, coalesce/ILP/
+///    adaptive knobs)
 ///
 /// The function *name* is excluded (content addressing: two identical
-/// bodies share one entry) and so is `RemapOptions::Jobs` — the parallel
+/// bodies share one entry) and so is `RemapOptions::Pool` — the helped
 /// remap search is bit-identical at any worker count (PR 4 invariant), so
 /// worker count must not fragment the key space. Metrics/cache pointers
 /// never enter the key by construction.

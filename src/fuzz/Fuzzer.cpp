@@ -6,6 +6,7 @@
 #include "core/BinaryEmitter.h"
 #include "core/Encoder.h"
 #include "driver/ResultCache.h"
+#include "driver/ThreadPool.h"
 #include "frontend/CSourceGen.h"
 #include "frontend/Frontend.h"
 #include "fuzz/Invariants.h"
@@ -305,7 +306,10 @@ std::optional<std::string> dra::checkProgram(const Function &P,
   // Breadth over depth: a light remap search keeps per-case cost low
   // without weakening any checked invariant.
   Cfg.Remap.NumStarts = 25;
-  Cfg.Remap.Jobs = FC.RemapJobs;
+  // The remap-parallel variant: RemapJobs pool workers help each search.
+  std::optional<ThreadPool> RemapPool;
+  if (FC.RemapJobs > 1)
+    Cfg.Remap.Pool = &RemapPool.emplace(FC.RemapJobs);
   if (FC.Portfolio) {
     Cfg.Portfolio.Mode = PortfolioMode::Race;
     Cfg.Portfolio.Jobs = FC.PortfolioJobs;
@@ -436,7 +440,7 @@ std::optional<std::string> dra::checkProgram(const Function &P,
     RemapOptions RO;
     RO.NumStarts = 8;
     RO.Seed = FC.Seed ^ 0x5eedf00dULL;
-    RO.Jobs = FC.RemapJobs;
+    RO.Pool = Cfg.Remap.Pool;
     RemapResult RR = remapFunction(Probe, FC.Enc, RO);
     if (!checkPermutation(RR.Perm, FC.Enc, &Why))
       return "probe remap permutation: " + Why;

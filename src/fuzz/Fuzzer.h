@@ -13,7 +13,7 @@
 /// × {with, without SpecialRegs} and the scheme axis cycles the three
 /// differential pipelines (remap, select, coalesce) plus a
 /// `remap-parallel` variant — the remap pipeline with the multi-start
-/// search sharded over RemapJobs pool workers, so the lockstep oracle
+/// search helped by a pool of RemapJobs workers, so the lockstep oracle
 /// exercises the parallel incremental search end-to-end — a
 /// `cache-replay` variant that compiles the case cold, then again through
 /// a warm result cache (driver/ResultCache.h), requiring the replayed

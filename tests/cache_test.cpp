@@ -1,7 +1,7 @@
 //===- tests/cache_test.cpp - Content-addressed result cache tests --------===//
 //
 // Covers the ResultCache tentpole: key derivation (content addressing,
-// config sensitivity, the deliberate Remap.Jobs exclusion), payload
+// config sensitivity, the deliberate Remap.Pool exclusion), payload
 // round trips, the sharded LRU memory tier, the dra-cache-v1 disk tier's
 // corruption handling (truncate / bit-flip / version-bump must read as
 // quarantined misses, never as errors or wrong results), hit
@@ -15,6 +15,7 @@
 #include "core/Features.h"
 #include "core/Portfolio.h"
 #include "driver/BatchCompiler.h"
+#include "driver/ThreadPool.h"
 #include "interp/Interpreter.h"
 #include "ir/IRBuilder.h"
 #include "workloads/ProgramGen.h"
@@ -93,10 +94,11 @@ TEST(CacheKey, ContentAddressedIgnoresNameAndRemapJobs) {
   PipelineConfig C = smallConfig();
   EXPECT_EQ(ResultCache::cacheKey(A, C), ResultCache::cacheKey(B, C));
 
-  // Remap.Jobs is a wall-clock knob with bit-identical results; caching
-  // must not fragment on it.
+  // The remap pool (--remap-jobs) is a wall-clock knob with bit-identical
+  // results; caching must not fragment on it.
+  ThreadPool RemapPool(8);
   PipelineConfig CJ = C;
-  CJ.Remap.Jobs = 8;
+  CJ.Remap.Pool = &RemapPool;
   EXPECT_EQ(ResultCache::cacheKey(A, C), ResultCache::cacheKey(A, CJ));
 }
 
@@ -151,7 +153,7 @@ TEST(CacheKey, PortfolioConfigJoinsTheKeyButJobsDoesNot) {
   EXPECT_NE(ResultCache::cacheKey(A, OtherStarts), RaceKey);
 
   // Jobs is a wall-clock knob with bit-identical results — excluded,
-  // like Remap.Jobs, so a 1-worker and an 8-worker race share entries.
+  // like Remap.Pool, so a 1-worker and an 8-worker race share entries.
   PipelineConfig Jobs = Race;
   Jobs.Portfolio.Jobs = 8;
   EXPECT_EQ(ResultCache::cacheKey(A, Jobs), RaceKey);

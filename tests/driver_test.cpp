@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <map>
 #include <set>
 #include <sstream>
@@ -225,6 +226,41 @@ TEST(ThreadPool, TasksSubmittedByTasksAreDrained) {
       });
   }
   EXPECT_EQ(Ran.load(), 8u + 4u);
+}
+
+TEST(ThreadPool, SubmitToIdleQueuesOnlyForIdleWorkers) {
+  ThreadPool Inline(1); // no thread to spare
+  EXPECT_EQ(0u, Inline.submitToIdle([] {}, 4));
+
+  ThreadPool Pool(3); // two worker threads
+  std::promise<void> Open;
+  std::shared_future<void> Gate = Open.get_future().share();
+  std::atomic<unsigned> Started{0};
+  Pool.submit([&, Gate] {
+    Started.fetch_add(1);
+    Gate.wait();
+  });
+  while (Started.load() != 1)
+    std::this_thread::yield();
+  // One thread is busy: one copy is queued, and it claims the other
+  // thread, so a second caller gets none.
+  EXPECT_EQ(1u, Pool.submitToIdle(
+                    [&, Gate] {
+                      Started.fetch_add(1);
+                      Gate.wait();
+                    },
+                    4));
+  EXPECT_EQ(0u, Pool.submitToIdle([] {}, 4));
+  while (Started.load() < 2)
+    std::this_thread::yield();
+  // Both threads busy: a submit()ted task waits, and says so.
+  std::atomic<bool> Ran{false};
+  Pool.submit([&] { Ran.store(true); });
+  EXPECT_EQ(1u, Pool.waitingTasks());
+  Open.set_value();
+  while (!Ran.load())
+    std::this_thread::yield();
+  EXPECT_EQ(0u, Pool.waitingTasks());
 }
 
 TEST(ThreadPool, SubmitAndParallelForCoexist) {
